@@ -212,36 +212,11 @@ class IncrementalTyper:
         """
         self._maintainer = None
 
-    def _extractor(self, stage1, perf, jobs, pool_lease, extractor_options):
-        """The Stage 2–3 runner: sequential, or pooled when ``jobs>1``.
-
-        The parallel import stays lazy so the incremental tier never
-        drags in multiprocessing for the common ``jobs=1`` service.
-        The injected ``stage1`` skips the parallel Stage 1 outright —
-        only the sweep fans out, over the (possibly leased) pool.
-        """
-        if jobs > 1:
-            from repro.parallel.extractor import ParallelExtractor
-
-            return ParallelExtractor(
-                self._db,
-                jobs=jobs,
-                pool_lease=pool_lease,
-                stage1=stage1,
-                perf=perf,
-                **extractor_options,
-            )
-        return SchemaExtractor(
-            self._db, stage1=stage1, perf=perf, **extractor_options
-        )
-
     def refresh(
         self,
         changes: ChangeLog,
         budget=None,
         perf=None,
-        jobs: int = 1,
-        pool_lease=None,
         **extractor_options,
     ) -> Optional[ExtractionResult]:
         """Fold a recorded mutation batch in exactly; adopt the result.
@@ -266,19 +241,16 @@ class IncrementalTyper:
         empty.  The maintainer (and its signature index) is kept
         across calls, so repeated batches amortise the index build.
 
-        ``jobs``/``pool_lease`` route the Stage 2–3 re-run through a
-        :class:`~repro.parallel.extractor.ParallelExtractor` sharing
-        the service's long-lived worker pool; with the maintained
-        Stage 1 injected and ``k`` pinned this only fans out when a
-        sweep is actually needed.
+        The Stage 2–3 re-run is sequential: with the maintained Stage 1
+        injected and ``k`` pinned there is no pooled phase left to run.
         """
         if changes.empty:
             return None
         if self._maintainer is None:
             self._maintainer = Stage1Maintainer(self._db, self._stage1)
         new_stage1 = self._maintainer.apply(changes, budget=budget, perf=perf)
-        result = self._extractor(
-            new_stage1, perf, jobs, pool_lease, extractor_options
+        result = SchemaExtractor(
+            self._db, stage1=new_stage1, perf=perf, **extractor_options
         ).extract(k=self._k, budget=budget)
         self._program = result.program
         self._assignment = dict(result.assignment)
@@ -292,7 +264,6 @@ class IncrementalTyper:
         self,
         k: Optional[int] = None,
         jobs: int = 1,
-        pool_lease=None,
         perf=None,
         **extractor_options,
     ) -> ExtractionResult:
@@ -303,12 +274,21 @@ class IncrementalTyper:
         forwarded to :class:`~repro.core.pipeline.SchemaExtractor` —
         or, with ``jobs > 1``, to
         :class:`~repro.parallel.extractor.ParallelExtractor`, which
-        shards Stage 1 (and the distributed reconcile) over
-        ``pool_lease``'s warm worker pool.
+        shards Stage 1 (and the distributed reconcile) over one worker
+        pool for the call.  The parallel import stays lazy so the
+        incremental tier never drags in multiprocessing for ``jobs=1``.
         """
-        result = self._extractor(
-            None, perf, jobs, pool_lease, extractor_options
-        ).extract(k=self._k if k is None else k)
+        if jobs > 1:
+            from repro.parallel.extractor import ParallelExtractor
+
+            extractor = ParallelExtractor(
+                self._db, jobs=jobs, perf=perf, **extractor_options
+            )
+        else:
+            extractor = SchemaExtractor(
+                self._db, perf=perf, **extractor_options
+            )
+        result = extractor.extract(k=self._k if k is None else k)
         self._program = result.program
         self._assignment = dict(result.assignment)
         self._k = result.chosen_k

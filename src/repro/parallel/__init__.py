@@ -3,9 +3,8 @@
 Public surface:
 
 * :class:`ParallelExtractor` — the ``--jobs N`` front end;
-* :class:`SharedWorkerPool` / :class:`PoolLease` /
-  :func:`resolve_jobs` — the persistent shared-memory worker pool,
-  the lease that keeps one pool warm across extractions, and the
+* :class:`SharedWorkerPool` / :func:`resolve_jobs` — the
+  shared-memory worker pool (one per public call) and the
   ``--jobs auto`` resolver;
 * :func:`parallel_stage1` / :func:`parallel_sweep` — the two
   fan-out phases, usable on their own;
@@ -29,11 +28,10 @@ from repro.parallel.merge import (
     restricted_reconcile,
     sharded_stage1,
 )
-from repro.parallel.pool import PoolLease, SharedWorkerPool
+from repro.parallel.pool import SharedWorkerPool
 
 __all__ = [
     "ParallelExtractor",
-    "PoolLease",
     "SharedWorkerPool",
     "merge_shard_typings",
     "parallel_stage1",

@@ -41,7 +41,7 @@ import pickle
 import struct
 from array import array
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.linkspace import LinkSpace, pack_masks, unpack_masks
 from repro.core.perfect import PerfectTyping
@@ -180,7 +180,6 @@ _KIND_DATABASE = 1
 _KIND_TYPING = 2
 _KIND_SHARDS = 3
 _KIND_PROGRAM = 4
-_KIND_DELTA = 5
 
 # ---------------------------------------------------------------------------
 # Database
@@ -506,241 +505,6 @@ def decode_program(buffer) -> TypingProgram:
         for index, mask in zip(type_ids, masks)
     ]
     return TypingProgram(rules, check=False)
-
-
-# ---------------------------------------------------------------------------
-# Payload deltas (epoch-bump re-ship without a pool rebuild)
-# ---------------------------------------------------------------------------
-
-
-def encode_payload_delta(
-    db: Database,
-    base_strings: Sequence[str],
-    changed: Iterable[ObjectId],
-    base_shards: Optional[Sequence[FrozenSet[ObjectId]]] = None,
-    new_shards: Optional[Sequence[FrozenSet[ObjectId]]] = None,
-) -> bytes:
-    """Serialize the difference between a worker's decoded database and
-    ``db``, scoped to the ``changed`` object ids.
-
-    ``changed`` must cover every object whose kind, value, or out-edge
-    set differs from the worker's copy — for a
-    :class:`~repro.graph.database.ChangeLog` batch that is the union of
-    added/removed/resurfaced objects and the *sources* of added/removed
-    links (a link change is an out-edge change of its source; removed
-    destinations cascade their in-edge removals into ``removed_links``,
-    so their sources are covered too).
-
-    The string table is append-only: indexes reference
-    ``base_strings + tail`` where ``tail`` holds only ids/labels the
-    base table has never seen.  Each changed object ships as either a
-    removal, an atomic upsert (id + value), or a complex upsert (id +
-    its full current out-edge ``(dst, label)`` list).  An optional
-    shard section re-ships the partition, reusing unchanged shards by
-    index.  :func:`apply_payload_delta` folds the delta into the
-    worker's decoded state in place; the result is structurally equal
-    to ``db``, so re-encoding it reproduces the full payload
-    byte-for-byte (the codec is deterministic).
-    """
-    table = _StringTable()
-    for value in base_strings:
-        table.intern(value)
-    base_count = len(table.strings)
-    if base_count != len(base_strings):
-        raise ReproError("base string table has duplicate entries")
-
-    removed_ids = array(_U32)
-    atomic_ids = array(_U32)
-    values: List = []
-    complex_ids = array(_U32)
-    edge_offsets = array(_U32, [0])
-    edges = array(_U32)
-    for obj in sorted(set(changed)):
-        if db.is_atomic(obj):
-            atomic_ids.append(table.intern(obj))
-            values.append(db.value(obj))
-        elif obj in db:
-            complex_ids.append(table.intern(obj))
-            out = sorted(
-                (edge.label, edge.dst) for edge in db.out_edges(obj)
-            )
-            for label, dst in out:
-                edges.append(table.intern(dst))
-                edges.append(table.intern(label))
-            edge_offsets.append(len(edges) // 2)
-        else:
-            removed_ids.append(table.intern(obj))
-    if _json_safe(values):
-        values_kind = _VALUES_JSON
-        values_blob = json.dumps(values, separators=(",", ":")).encode()
-    else:
-        values_kind = _VALUES_PICKLE
-        values_blob = pickle.dumps(values, protocol=pickle.HIGHEST_PROTOCOL)
-
-    shard_mode = 0
-    shard_entries: List[Tuple[int, object]] = []
-    if new_shards is not None:
-        base_list = list(base_shards) if base_shards is not None else []
-        if list(new_shards) != base_list:
-            shard_mode = 1
-            base_index: Dict[FrozenSet[ObjectId], int] = {}
-            for index, shard in enumerate(base_list):
-                base_index.setdefault(shard, index)
-            for shard in new_shards:
-                reuse = base_index.get(shard)
-                if reuse is not None:
-                    shard_entries.append((1, reuse))
-                else:
-                    members = array(_U32)
-                    for obj in sorted(shard):
-                        members.append(table.intern(obj))
-                    shard_entries.append((0, members))
-
-    writer = _start(_KIND_DELTA)
-    writer.u32(base_count)
-    writer.strings(table.strings[base_count:])
-    writer.u32_array(removed_ids)
-    writer.u32_array(atomic_ids)
-    writer.u32(values_kind)
-    writer.blob(values_blob)
-    writer.u32_array(complex_ids)
-    writer.u32_array(edge_offsets)
-    writer.u32_array(edges)
-    writer.u32(shard_mode)
-    if shard_mode:
-        writer.u32(len(shard_entries))
-        for kind, payload in shard_entries:
-            writer.u32(kind)
-            if kind == 1:
-                writer.u32(payload)  # type: ignore[arg-type]
-            else:
-                writer.u32_array(payload)  # type: ignore[arg-type]
-    return writer.getvalue()
-
-
-def read_delta_strings(buffer) -> Tuple[int, Tuple[str, ...]]:
-    """Read ``(base_count, string_tail)`` off a delta without applying
-    it — the coordinator extends its own interned table with the tail
-    so later deltas and reconcile index lookups stay aligned."""
-    reader = _Reader(buffer)
-    _check_magic(reader, _KIND_DELTA)
-    base_count = reader.u32()
-    return base_count, reader.strings()
-
-
-def apply_payload_delta(
-    buffer,
-    db: Database,
-    strings: Sequence[str],
-    shards: Optional[List[FrozenSet[ObjectId]]] = None,
-) -> Tuple[Tuple[str, ...], Optional[List[FrozenSet[ObjectId]]]]:
-    """Fold a :func:`encode_payload_delta` buffer into a worker's
-    decoded state in place.
-
-    Mutates ``db`` so it is structurally equal to the coordinator's
-    database at the new epoch; returns the extended string table and
-    the (possibly replaced) shard partition.  The application order
-    matters: changed complex objects drop their out-edges first, then
-    removals cascade, then kind/value upserts re-register objects while
-    preserving in-edges from *unchanged* sources (changed sources
-    re-add their exact out-edge lists in the final phase).
-    """
-    reader = _Reader(buffer)
-    _check_magic(reader, _KIND_DELTA)
-    base_count = reader.u32()
-    if base_count != len(strings):
-        raise ReproError(
-            f"delta base string table mismatch: payload has "
-            f"{len(strings)} strings, delta expects {base_count}"
-        )
-    tail = reader.strings()
-    names: Tuple[str, ...] = tuple(strings) + tail
-    removed_ids = reader.u32_array()
-    atomic_ids = reader.u32_array()
-    values_kind = reader.u32()
-    values_blob = bytes(reader.blob())
-    if values_kind == _VALUES_JSON:
-        values = json.loads(values_blob)
-    else:
-        values = pickle.loads(values_blob)
-    complex_ids = reader.u32_array()
-    edge_offsets = reader.u32_array()
-    edges = reader.u32_array()
-    shard_mode = reader.u32()
-    new_shards = shards
-    if shard_mode:
-        count = reader.u32()
-        entries: List[FrozenSet[ObjectId]] = []
-        for _ in range(count):
-            kind = reader.u32()
-            if kind == 1:
-                index = reader.u32()
-                if shards is None:
-                    raise ReproError(
-                        "delta reuses a base shard but the worker "
-                        "holds no partition"
-                    )
-                entries.append(shards[index])
-            else:
-                members = reader.u32_array()
-                entries.append(
-                    frozenset(names[member] for member in members)
-                )
-        new_shards = entries
-
-    changed_ids = {names[index] for index in atomic_ids}
-    changed_ids.update(names[index] for index in complex_ids)
-
-    # Phase A: changed complex objects drop their stale out-edges.
-    for index in complex_ids:
-        obj = names[index]
-        if db.is_complex(obj):
-            for edge in list(db.out_edges(obj)):
-                db.remove_link(edge.src, edge.dst, edge.label)
-    # Phase B: removals (in-neighbours are all changed sources whose
-    # edges were just cleared, so the cascade is a no-op).
-    for index in removed_ids:
-        db.remove_object(names[index])
-    # Phase C: atomic upserts.  A kind change (complex -> atomic) or a
-    # value change re-registers the object; in-edges from unchanged
-    # sources survive verbatim, changed sources re-add theirs below.
-    for index, value in zip(atomic_ids, values):
-        obj = names[index]
-        if db.is_atomic(obj) and db.value(obj) == value:
-            continue
-        surviving = []
-        if obj in db:
-            surviving = [
-                edge for edge in db.in_edges(obj)
-                if edge.src not in changed_ids
-            ]
-            db.remove_object(obj)
-        db.add_atomic(obj, value)
-        for edge in surviving:
-            db.add_link(edge.src, edge.dst, edge.label)
-    # Phase D: register complex upserts (handling atomic -> complex
-    # kind changes the same way).
-    for index in complex_ids:
-        obj = names[index]
-        if db.is_atomic(obj):
-            surviving = [
-                edge for edge in db.in_edges(obj)
-                if edge.src not in changed_ids
-            ]
-            db.remove_object(obj)
-            db.add_complex(obj)
-            for edge in surviving:
-                db.add_link(edge.src, edge.dst, edge.label)
-        else:
-            db.add_complex(obj)
-    # Phase E: changed complex objects re-add their exact out-edges.
-    for position, index in enumerate(complex_ids):
-        obj = names[index]
-        start = edge_offsets[position]
-        end = edge_offsets[position + 1]
-        for i in range(2 * start, 2 * end, 2):
-            db.add_link(obj, names[edges[i]], names[edges[i + 1]])
-    return names, new_shards
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ class ServiceConfig:
     breaker_max_backoff: float = 5.0
     cache_entries: int = 4096
     enable_chaos: bool = False  #: expose POST /chaos (tests/benches only).
-    jobs: int = 1  #: worker processes leased for extract/refresh (>1 pools).
+    jobs: int = 1  #: worker processes for the initial extract (>1 pools).
     extractor_options: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -212,9 +212,6 @@ class SchemaService:
             except (asyncio.TimeoutError, asyncio.CancelledError):
                 self._writer_task.cancel()
             self._writer_task = None
-        # After the writer drained: no refresh can race the teardown of
-        # the session's leased worker pool (and its /dev/shm payload).
-        self.session.close()
 
     @property
     def ready(self) -> bool:

@@ -122,202 +122,3 @@ class TestPoolPayload:
     def test_string_table_covers_objects(self, dbg):
         _payload, strings = codec.build_pool_payload(dbg)
         assert set(dbg.objects()) <= set(strings)
-
-
-def _changed_set(log):
-    """The change set a delta must cover, derived exactly the way
-    ``DatasetSession.note_changes`` derives it from a ChangeLog."""
-    changed = set(log.added_objects) | set(log.removed_objects)
-    changed.update(log.resurfaced)
-    changed.update(edge.src for edge in log.added_links)
-    changed.update(edge.src for edge in log.removed_links)
-    return changed
-
-
-def _delta_round_trip(db, mutate, base_shards=None, new_shards=None):
-    """Decode a worker copy, mutate the coordinator, ship the delta and
-    assert the applied worker state re-encodes byte-for-byte."""
-    worker_db, strings = codec.decode_database(codec.encode_database(db))
-    with db.track_changes() as log:
-        mutate(db)
-    delta = codec.encode_payload_delta(
-        db,
-        strings,
-        _changed_set(log),
-        base_shards=base_shards,
-        new_shards=new_shards,
-    )
-    shards_in = list(base_shards) if base_shards is not None else None
-    out_strings, out_shards = codec.apply_payload_delta(
-        delta, worker_db, strings, shards_in
-    )
-    assert codec.encode_database(worker_db) == codec.encode_database(db)
-    assert _edges(worker_db) == _edges(db)
-    assert _atoms(worker_db) == _atoms(db)
-    assert tuple(out_strings[:len(strings)]) == tuple(strings)
-    return delta, out_strings, out_shards
-
-
-class TestPayloadDelta:
-    """``apply(encode_delta)`` must reproduce the full payload exactly."""
-
-    def test_added_link_round_trips(self, dbg):
-        db, _ = codec.decode_database(codec.encode_database(dbg))
-        objs = sorted(db.complex_objects())
-
-        def mutate(d):
-            d.add_link(objs[0], objs[-1], "delta_xref")
-
-        delta, _, _ = _delta_round_trip(db, mutate)
-        # A one-edge delta is tiny next to the full payload.
-        assert len(delta) < 0.05 * len(codec.encode_database(db))
-
-    def test_removed_link_round_trips(self, dbg):
-        db, _ = codec.decode_database(codec.encode_database(dbg))
-        edge = sorted(
-            db.edges(), key=lambda e: (e.src, e.label, e.dst)
-        )[0]
-
-        def mutate(d):
-            d.remove_link(edge.src, edge.dst, edge.label)
-
-        _delta_round_trip(db, mutate)
-
-    def test_added_object_grows_string_table(self, dbg):
-        db, _ = codec.decode_database(codec.encode_database(dbg))
-        anchor = sorted(db.complex_objects())[0]
-
-        def mutate(d):
-            d.add_complex("delta_new_obj")
-            d.add_atomic("delta_new_atom", "fresh-value")
-            d.add_link(anchor, "delta_new_obj", "delta_new_label")
-            d.add_link("delta_new_obj", "delta_new_atom", "delta_attr")
-
-        _, strings, _ = _delta_round_trip(db, mutate)
-        # The new ids/labels ride in the append-only tail.
-        assert "delta_new_obj" in strings
-        assert "delta_new_atom" in strings
-        assert "delta_new_label" in strings
-
-    def test_removed_object_cascades(self, dbg):
-        db, _ = codec.decode_database(codec.encode_database(dbg))
-        victim = max(
-            db.complex_objects(),
-            key=lambda o: (len(list(db.in_edges(o))), o),
-        )
-        assert list(db.in_edges(victim))  # the cascade is actually exercised
-
-        def mutate(d):
-            d.remove_object(victim)
-
-        _delta_round_trip(db, mutate)
-
-    def test_atomic_value_change(self, dbg):
-        db, _ = codec.decode_database(codec.encode_database(dbg))
-        atom = sorted(db.atomic_objects())[0]
-
-        def mutate(d):
-            value = d.value(atom)
-            d.remove_object(atom)
-            d.add_atomic(atom, f"changed-{value}")
-
-        _delta_round_trip(db, mutate)
-
-    def test_non_json_values_ride_pickle(self, dbg):
-        db, _ = codec.decode_database(codec.encode_database(dbg))
-        anchor = sorted(db.complex_objects())[0]
-
-        def mutate(d):
-            d.add_atomic("delta_tuple_atom", ("a", 1))
-            d.add_link(anchor, "delta_tuple_atom", "delta_attr")
-
-        _delta_round_trip(db, mutate)
-
-    def test_kind_change_via_resurface(self, dbg):
-        db, _ = codec.decode_database(codec.encode_database(dbg))
-        atom = max(
-            db.atomic_objects(),
-            key=lambda o: (len(list(db.in_edges(o))), o),
-        )
-
-        def mutate(d):
-            d.remove_object(atom)
-            d.add_complex(atom)
-
-        _delta_round_trip(db, mutate)
-
-    def test_mixed_randomized_batches(self):
-        import random
-
-        for seed in (5, 17, 91):
-            db = make_dbg(seed=seed)
-            rng = random.Random(seed * 101)
-            for _ in range(3):
-                edges = sorted(
-                    db.edges(), key=lambda e: (e.src, e.label, e.dst)
-                )
-                objs = sorted(db.complex_objects())
-
-                def mutate(d, edges=edges, objs=objs, rng=rng):
-                    for edge in rng.sample(edges, min(3, len(edges))):
-                        d.remove_link(edge.src, edge.dst, edge.label)
-                    a, b = rng.sample(objs, 2)
-                    d.add_link(a, b, f"rnd_{rng.randrange(1000)}")
-                    d.add_atomic(f"rnd_atom_{rng.randrange(1000)}", "v")
-                    d.add_link(
-                        a, f"rnd_obj_{rng.randrange(1000)}", "rnd_child"
-                    )
-                    d.remove_object(rng.choice(objs))
-
-                _delta_round_trip(db, mutate)
-
-    def test_shard_section_reuses_unchanged_shards(self, dbg):
-        db, _ = codec.decode_database(codec.encode_database(dbg))
-        shards = [frozenset(s.objects) for s in partition_database(db, 2)]
-        anchor = sorted(db.complex_objects())[0]
-
-        def mutate(d):
-            d.add_complex("delta_shard_obj")
-            d.add_link(anchor, "delta_shard_obj", "delta_label")
-
-        grown = [
-            shards[0] | {"delta_shard_obj"},
-            shards[1],
-        ]
-        _, _, out_shards = _delta_round_trip(
-            db, mutate, base_shards=shards, new_shards=grown
-        )
-        assert out_shards == grown
-        # The unchanged shard is reused by reference, not re-shipped.
-        assert out_shards[1] is shards[1]
-
-    def test_unchanged_shards_keep_worker_partition(self, dbg):
-        db, _ = codec.decode_database(codec.encode_database(dbg))
-        shards = [frozenset(s.objects) for s in partition_database(db, 2)]
-        objs = sorted(db.complex_objects())
-
-        def mutate(d):
-            d.add_link(objs[0], objs[1], "delta_keep_label")
-
-        _, _, out_shards = _delta_round_trip(
-            db, mutate, base_shards=shards, new_shards=shards
-        )
-        assert out_shards == shards
-
-    def test_base_string_table_mismatch_is_rejected(self, dbg):
-        db, strings = codec.decode_database(codec.encode_database(dbg))
-        with db.track_changes() as log:
-            db.add_complex("delta_mismatch_obj")
-        delta = codec.encode_payload_delta(db, strings, _changed_set(log))
-        victim, _ = codec.decode_database(codec.encode_database(db))
-        with pytest.raises(ReproError):
-            codec.apply_payload_delta(
-                delta, victim, tuple(strings) + ("extra",)
-            )
-
-    def test_empty_change_set_is_identity(self, dbg):
-        db, strings = codec.decode_database(codec.encode_database(dbg))
-        delta = codec.encode_payload_delta(db, strings, ())
-        worker_db, _ = codec.decode_database(codec.encode_database(db))
-        codec.apply_payload_delta(delta, worker_db, strings)
-        assert codec.encode_database(worker_db) == codec.encode_database(db)
