@@ -111,7 +111,6 @@ def restore_merger(
     distance: Optional[WeightedDistance] = None,
     perf=None,
     use_bitset: bool = True,
-    use_matrix: bool = True,
 ) -> GreedyMerger:
     """Rebuild a merger from a checkpoint and replay its trace.
 
@@ -131,9 +130,6 @@ def restore_merger(
         trace, never bodies, so either representation replays to the
         identical state — a checkpoint written by one path resumes
         freely on the other.
-    use_matrix:
-        Vectorized matrix kernel for the rebuilt merger (see
-        :class:`GreedyMerger`); replay is state-identical either way.
 
     Returns a :class:`GreedyMerger` whose state (bodies, weights,
     merge map, records, total cost) is identical to the interrupted
@@ -162,7 +158,6 @@ def restore_merger(
         frozen=frozenset(checkpoint.frozen),
         perf=perf,
         use_bitset=use_bitset,
-        use_matrix=use_matrix,
     )
     for absorber, absorbed in checkpoint.merges:
         merger.merge_pair(absorber, absorbed)

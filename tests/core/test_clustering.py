@@ -244,44 +244,47 @@ class TestWeightedCenterMemberSync:
         )
 
     def test_minority_member_link_retargeted(self):
-        merger = GreedyMerger(
-            self._program(),
-            {"A": 3, "B": 1, "C": 1, "D": 1, "E": 3},
-            policy=MergePolicy.WEIGHTED_CENTER,
-        )
-        # A absorbs B: ->r^C is a 1-of-4 minority, so the aggregated
-        # body of A is just ->name^0 — but B's member body keeps ->r^C.
-        merger.merge_pair("A", "B")
-        assert {str(l) for l in merger.current_program().rule("A").body} == {
-            "->name^0"
-        }
-        # D absorbs C.  A's aggregated body does not mention C, but its
-        # minority member does; the stale superscript used to survive
-        # here and split the link's support forever after.
-        merger.merge_pair("D", "C")
-        # A absorbs E: support for ->r^D is now 1 + 3 of 7 total weight,
-        # a weighted majority — but only if the member was retargeted.
-        merger.merge_pair("A", "E")
-        assert {str(l) for l in merger.current_program().rule("A").body} == {
-            "->name^0",
-            "->r^D",
-        }
+        for use_bitset in (True, False):  # kernel and frozenset oracle
+            merger = GreedyMerger(
+                self._program(),
+                {"A": 3, "B": 1, "C": 1, "D": 1, "E": 3},
+                policy=MergePolicy.WEIGHTED_CENTER,
+                use_bitset=use_bitset,
+            )
+            # A absorbs B: ->r^C is a 1-of-4 minority, so the aggregated
+            # body of A is just ->name^0 — but B's member body keeps ->r^C.
+            merger.merge_pair("A", "B")
+            assert {
+                str(l) for l in merger.current_program().rule("A").body
+            } == {"->name^0"}
+            # D absorbs C.  A's aggregated body does not mention C, but its
+            # minority member does; the stale superscript used to survive
+            # here and split the link's support forever after.
+            merger.merge_pair("D", "C")
+            # A absorbs E: support for ->r^D is now 1 + 3 of 7 total weight,
+            # a weighted majority — but only if the member was retargeted.
+            merger.merge_pair("A", "E")
+            assert {
+                str(l) for l in merger.current_program().rule("A").body
+            } == {"->name^0", "->r^D"}
 
     def test_members_never_reference_retired_types(self):
-        merger = GreedyMerger(
-            self._program(),
-            {"A": 3, "B": 1, "C": 1, "D": 1, "E": 3},
-            policy=MergePolicy.WEIGHTED_CENTER,
-        )
-        merger.merge_pair("A", "B")
-        merger.merge_pair("D", "C")
-        live = set(merger.current_program().type_names())
-        space = merger.link_space
-        for members in merger._members.values():
-            for body, _ in members:
-                links = space.decode(body) if space is not None else body
-                for link in links:
-                    assert link.is_atomic_target or link.target in live
+        for use_bitset in (True, False):  # kernel and frozenset oracle
+            merger = GreedyMerger(
+                self._program(),
+                {"A": 3, "B": 1, "C": 1, "D": 1, "E": 3},
+                policy=MergePolicy.WEIGHTED_CENTER,
+                use_bitset=use_bitset,
+            )
+            merger.merge_pair("A", "B")
+            merger.merge_pair("D", "C")
+            live = set(merger.current_program().type_names())
+            space = merger.link_space
+            for members in merger._members.values():
+                for body, _ in members:
+                    links = space.decode(body) if space is not None else body
+                    for link in links:
+                        assert link.is_atomic_target or link.target in live
 
 
 class TestEmptyWeightDefault:

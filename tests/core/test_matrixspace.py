@@ -1,16 +1,19 @@
-"""Unit tests for the uint64 matrix kernel and its consumers.
+"""Unit tests for the uint64 pairwise matrix behind the ablations.
 
-The property suite (``tests/property/test_property_matrix.py``) pins
-the batched math against both oracles on random inputs; this file pins
-the plumbing — capacity growth, row bookkeeping, the distance-cache
-bypass, the ``already_cached`` double-wrap guard, graceful numpy-less
-degradation and the pipeline-level ``use_matrix`` identity.
+:class:`~repro.core.matrixspace.MaskMatrix` only serves
+:meth:`CachedBodyDistance.matrix` (the Section 5.2 clustering
+ablations).  This file pins its packing and pairwise math against the
+per-pair popcount, the distance-cache bypass, the ``already_cached``
+double-wrap guard, and that the ablations and the pipeline run without
+numpy.
 """
+
+import sys
 
 import pytest
 
-from repro.core import matrixspace
-from repro.core.clustering import GreedyMerger, MergePolicy
+import repro.core
+from repro.core.clustering import GreedyMerger
 from repro.core.linkspace import CachedBodyDistance, LinkSpace
 from repro.core.pipeline import SchemaExtractor
 from repro.core.typing_program import TypedLink, TypeRule, TypingProgram
@@ -21,10 +24,8 @@ np = pytest.importorskip("numpy", exc_type=ImportError)
 
 from repro.core.matrixspace import (  # noqa: E402
     MaskMatrix,
-    RuleMatrix,
     pack_mask,
     popcount_words,
-    unpack_row,
 )
 
 
@@ -50,7 +51,8 @@ def small_db():
 class TestPackUnpack:
     def test_round_trip(self):
         mask = (1 << 200) | (1 << 64) | 3
-        assert unpack_row(pack_mask(mask, 4)) == mask
+        words = pack_mask(mask, 4)
+        assert int.from_bytes(words.astype("<u8").tobytes(), "little") == mask
 
     def test_overflow_raises(self):
         with pytest.raises(OverflowError):
@@ -64,56 +66,6 @@ class TestPackUnpack:
         for row_w, row_c in zip(words, got):
             for w, c in zip(row_w, row_c):
                 assert int(c) == int(w).bit_count()
-
-
-class TestMaskMatrixPlumbing:
-    def test_ensure_capacity_widens_and_preserves(self):
-        matrix = MaskMatrix.from_masks([0b101, 0b011], dimension=3)
-        assert matrix.n_words == 1
-        matrix.ensure_capacity(130)
-        assert matrix.n_words == 3
-        assert matrix.mask_of(0) == 0b101
-        assert matrix.mask_of(1) == 0b011
-
-    def test_set_row_auto_widens(self):
-        matrix = MaskMatrix.from_masks([1], dimension=1)
-        matrix.set_row(0, 1 << 100)
-        assert matrix.n_words >= 2
-        assert matrix.mask_of(0) == 1 << 100
-
-    def test_swap_remove_moves_last_row(self):
-        matrix = MaskMatrix.from_masks([1, 2, 4])
-        matrix.swap_remove(0)
-        assert len(matrix) == 2
-        assert matrix.mask_of(0) == 4
-        assert matrix.mask_of(1) == 2
-
-    def test_nbytes_grows_with_capacity(self):
-        matrix = MaskMatrix.from_masks([1, 2], dimension=1)
-        before = matrix.nbytes
-        matrix.ensure_capacity(640)
-        assert matrix.nbytes > before
-
-
-class TestRuleMatrix:
-    def test_closest_rejects_empty(self):
-        rules = RuleMatrix([], 0)
-        with pytest.raises(ValueError):
-            rules.closest(0)
-
-    def test_closest_counts_overflow_bits(self):
-        # A query mask wider than the rule capacity: the extra bits are
-        # symmetric difference against *every* rule, uniformly.
-        rules = RuleMatrix([("r0", 0b1), ("r1", 0b11)], 2)
-        wide = 0b1 | (1 << 300)
-        name, dist = rules.closest(wide)
-        assert (name, dist) == ("r0", 1)
-
-    def test_satisfied_matches_subset_semantics(self):
-        rules = RuleMatrix([("r0", 0b01), ("r1", 0b11)], 2)
-        assert rules.satisfied(0b01) == ["r0"]
-        assert rules.satisfied(0b11) == ["r0", "r1"]
-        assert rules.satisfied(0b10) == []
 
 
 class TestDistanceCacheBypass:
@@ -187,132 +139,49 @@ class TestAlreadyCachedProtocol:
         assert len(calls) == 1  # second call served by the wrap
 
 
+def _block_numpy(monkeypatch):
+    """Make ``import numpy`` (and so the matrix module) fail."""
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    monkeypatch.delitem(sys.modules, "repro.core.matrixspace", raising=False)
+    monkeypatch.delattr(repro.core, "matrixspace", raising=False)
+
+
 class TestGracefulDegradation:
     def test_cached_distance_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(matrixspace, "HAVE_NUMPY", False)
+        _block_numpy(monkeypatch)
         dist = CachedBodyDistance([body("a"), body("b")])
         assert dist.matrix() is None
         assert dist.manhattan(0, 1) == 2  # dict path still exact
 
     def test_merger_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(matrixspace, "HAVE_NUMPY", False)
+        _block_numpy(monkeypatch)
         program = TypingProgram(
             [TypeRule("t0", body("a")), TypeRule("t1", body("a", "b"))]
         )
         merger = GreedyMerger(program, {"t0": 1.0, "t1": 1.0})
-        assert merger.use_matrix is False
-        merger.run_to(1)  # bitset path carries the run
+        merger.run_to(1)
 
     def test_pipeline_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(matrixspace, "HAVE_NUMPY", False)
+        _block_numpy(monkeypatch)
         result = SchemaExtractor(small_db()).extract(k=2)
         assert result.num_types == 2
 
 
-class TestMergerMatrixIdentity:
-    @pytest.mark.parametrize("policy", list(MergePolicy))
-    def test_traces_match_per_pair_kernel(self, policy):
-        db = small_db()
-        stage1 = SchemaExtractor(db).stage1()
-        program = stage1.program
-        weights = {n: float(w) for n, w in stage1.weights.items()}
-        with_matrix = GreedyMerger(
-            program, weights, policy=policy, use_matrix=True
-        ).run_to(2)
-        without = GreedyMerger(
-            program, weights, policy=policy, use_matrix=False
-        ).run_to(2)
-        assert with_matrix.program == without.program
-        assert with_matrix.merge_map == without.merge_map
-        assert [
-            (r.absorber, r.absorbed, r.cost, r.manhattan)
-            for r in with_matrix.records
-        ] == [
-            (r.absorber, r.absorbed, r.cost, r.manhattan)
-            for r in without.records
-        ]
+class TestPairwise:
+    def test_matches_per_pair_popcount_across_words(self):
+        space = LinkSpace()
+        masks = [
+            space.encode(body(*(f"w{i}" for i in range(start, start + 70))))
+            for start in (0, 40, 90)
+        ] + [0]
+        assert space.dimension > 128  # rows span three words
+        pair = MaskMatrix.from_masks(masks, space.dimension).pairwise()
+        for i, a in enumerate(masks):
+            for j, b in enumerate(masks):
+                assert pair[i, j] == (a ^ b).bit_count()
 
-    def test_counters_match_per_pair_kernel(self):
-        db = small_db()
-        stage1 = SchemaExtractor(db).stage1()
-        weights = {n: float(w) for n, w in stage1.weights.items()}
-        results = {}
-        for use_matrix in (True, False):
-            perf = PerfRecorder()
-            GreedyMerger(
-                stage1.program, weights, perf=perf, use_matrix=use_matrix
-            ).run_to(2)
-            counters = perf.to_dict()["counters"]
-            results[use_matrix] = {
-                key: counters.get(key, 0)
-                for key in (
-                    "merge.manhattan_evals",
-                    "merge.heap_pushes",
-                    "merge.heap_pops",
-                )
-            }
-        assert results[True] == results[False]
-
-    def test_matrix_rows_counter_increments(self):
-        db = small_db()
-        stage1 = SchemaExtractor(db).stage1()
-        weights = {n: float(w) for n, w in stage1.weights.items()}
-        perf = PerfRecorder()
-        merger = GreedyMerger(stage1.program, weights, perf=perf)
-        assert merger.use_matrix
-        merger.run_to(2)
-        assert perf.counter("linkspace.matrix_builds") >= 1
-        assert perf.counter("linkspace.matrix_distance_rows") > 0
-        assert perf.peak_value("linkspace.matrix_bytes") > 0
-
-    def test_use_matrix_requires_bitset(self):
-        program = TypingProgram([TypeRule("t0", body("a"))])
-        merger = GreedyMerger(
-            program, {"t0": 1.0}, use_bitset=False, use_matrix=True
-        )
-        assert merger.use_matrix is False
-
-
-class TestPipelineMatrixIdentity:
-    def test_extract_identical(self):
-        db = small_db()
-        with_matrix = SchemaExtractor(db).extract(k=2)
-        without = SchemaExtractor(db, use_matrix=False).extract(k=2)
-        assert with_matrix.program == without.program
-        assert with_matrix.assignment == without.assignment
-        assert (
-            with_matrix.recast_result.extents
-            == without.recast_result.extents
-        )
-        assert with_matrix.defect.total == without.defect.total
-
-    def test_sweep_identical(self):
-        db = small_db()
-        with_matrix = SchemaExtractor(db).sweep()
-        without = SchemaExtractor(db, use_matrix=False).sweep()
-        assert with_matrix.points == without.points
-
-
-class TestFromWords:
-    """Zero-copy attach of pre-packed rows (the pool's transport)."""
-
-    def test_attached_rows_match_pack_mask(self):
-        from repro.core.linkspace import pack_masks
-
-        masks = [0b1011, (1 << 70) | 1, 0]
-        words, n_words = pack_masks(masks, dimension=71)
-        matrix = MaskMatrix.from_words(words, n_rows=len(masks), n_words=n_words)
-        for i, mask in enumerate(masks):
-            assert matrix.mask_of(i) == mask
-
-    def test_attach_from_memoryview(self):
-        from array import array
-
-        from repro.core.linkspace import pack_masks
-
-        masks = [3, 12]
-        words, n_words = pack_masks(masks, dimension=8)
-        view = memoryview(array("Q", words)).cast("B")
-        matrix = MaskMatrix.from_words(view, n_rows=2, n_words=n_words)
-        assert matrix.mask_of(0) == 3
-        assert matrix.mask_of(1) == 12
+    def test_empty_bodies_and_no_rows(self):
+        assert MaskMatrix.from_masks([0, 0, 0]).pairwise().tolist() == [
+            [0] * 3
+        ] * 3
+        assert MaskMatrix.from_masks([]).pairwise().shape == (0, 0)

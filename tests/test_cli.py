@@ -60,24 +60,6 @@ def test_sweep_no_bitset_is_output_identical(oem_file, capsys):
     assert "knee=" in plain.err
 
 
-def test_extract_no_matrix_is_output_identical(oem_file, capsys):
-    """``--no-matrix`` runs the per-pair bitset path and must print
-    exactly the same extraction as the default matrix kernel."""
-    assert main(["extract", oem_file, "-k", "2"]) == 0
-    matrix_out = capsys.readouterr().out
-    assert main(["extract", oem_file, "-k", "2", "--no-matrix"]) == 0
-    assert capsys.readouterr().out == matrix_out
-
-
-def test_sweep_no_matrix_is_output_identical(oem_file, capsys):
-    assert main(["sweep", oem_file]) == 0
-    matrix = capsys.readouterr()
-    assert main(["sweep", oem_file, "--no-matrix"]) == 0
-    plain = capsys.readouterr()
-    assert plain.out == matrix.out
-    assert "knee=" in plain.err
-
-
 def test_sweep_csv(oem_file, capsys):
     assert main(["sweep", oem_file]) == 0
     captured = capsys.readouterr()
