@@ -72,7 +72,6 @@ from repro.core.perfect import PerfectTyping, minimal_perfect_typing
 from repro.core.prior import PriorKnowledge, combine_with_stage1
 from repro.core.pipeline import ExtractionResult, SchemaExtractor
 from repro.core.recast import (
-    RecastMemo,
     RecastMode,
     RecastResult,
     recast,
@@ -116,7 +115,6 @@ __all__ = [
     "MergePolicy",
     "MergeRecord",
     "PerfectTyping",
-    "RecastMemo",
     "RecastMode",
     "RecastResult",
     "RoleDecomposition",

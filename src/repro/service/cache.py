@@ -7,11 +7,6 @@ exact value encoding of its local picture) and the adopted typing
 a refresh that adopts a new typing bumps the epoch, so caching on
 ``(epoch, mask)`` can never serve a stale or wrong answer — old-epoch
 entries simply stop matching and age out of the LRU.
-
-This is the service-level complement of the in-pipeline
-:class:`~repro.core.recast.RecastMemo`: the memo caches per-rule
-subset tests inside one classification, this caches whole
-classifications across requests.
 """
 
 from __future__ import annotations
