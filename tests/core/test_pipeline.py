@@ -3,10 +3,12 @@
 import pytest
 
 from repro.core.clustering import MergePolicy
+from repro.core.notation import format_program
 from repro.core.pipeline import SchemaExtractor
 from repro.core.recast import RecastMode
 from repro.exceptions import ClusteringError
 from repro.graph.builder import DatabaseBuilder
+from repro.synth.datasets import make_dbg
 
 
 @pytest.fixture
@@ -108,6 +110,23 @@ class TestOptions:
     def test_stage1_cached(self, three_group_db):
         extractor = SchemaExtractor(three_group_db)
         assert extractor.stage1() is extractor.stage1()
+
+    @pytest.mark.parametrize("seed", [3, 7, 1998])
+    def test_benchmark_oracle_call_matches_default(self, seed):
+        """The reference call of the end-to-end benchmark's oracle:
+        frozenset bodies plus the accepted no-op ``use_matrix`` /
+        ``recast_memo`` keywords give the default extraction."""
+        db = make_dbg(seed=seed)
+        oracle = SchemaExtractor(
+            db, use_bitset=False, use_matrix=False, recast_memo=False
+        ).extract()
+        default = SchemaExtractor(db).extract()
+        assert format_program(oracle.program) == format_program(
+            default.program
+        )
+        assert oracle.assignment == default.assignment
+        assert oracle.defect.total == default.defect.total
+        assert oracle.chosen_k == default.chosen_k
 
 
 class TestSweepApi:

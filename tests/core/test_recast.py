@@ -14,6 +14,7 @@ from repro.core.recast import (
 from repro.core.typing_program import TypingProgram
 from repro.exceptions import RecastError
 from repro.graph.builder import DatabaseBuilder
+from repro.perf import PerfRecorder
 
 
 @pytest.fixture
@@ -111,11 +112,17 @@ class TestRecastHomeGuided:
     def test_satisfied_types_added_on_top(self, mixed_db, two_type_program):
         # f1 is homed as person (wrongly); it still also satisfies firm.
         home = {"f1": {"person"}}
-        result = recast(
-            two_type_program, mixed_db, home=home,
-            mode=RecastMode.HOME_GUIDED,
-        )
-        assert result.types_of("f1") == {"person", "firm"}
+        for use_bitset in (True, False):
+            perf = PerfRecorder()
+            result = recast(
+                two_type_program, mixed_db, home=home,
+                mode=RecastMode.HOME_GUIDED, perf=perf,
+                use_bitset=use_bitset,
+            )
+            assert result.types_of("f1") == {"person", "firm"}
+            # One subset test per (complex object, rule), on both paths.
+            assert perf.counter("recast.evaluations") == 4 * 2
+            assert perf.counter("recast.cover_checks") == 4 * 2
 
     def test_requires_home(self, mixed_db, two_type_program):
         with pytest.raises(RecastError):

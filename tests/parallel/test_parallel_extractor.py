@@ -115,6 +115,7 @@ def test_perf_counters_survive_the_pool(multi_db):
     assert perf.elapsed("pipeline.stage1") > 0
 
 
+@pytest.mark.expect_fallback
 def test_cancellation_degrades_gracefully(multi_db):
     token = CancellationToken()
     token.cancel("test asked")
@@ -182,6 +183,7 @@ def _broken_pool(tasks, fn, jobs, budget):
     raise RuntimeError("injected pool crash")
 
 
+@pytest.mark.expect_fallback
 def test_stage1_heals_worker_crash(multi_db):
     perf = PerfRecorder()
     healed = parallel_stage1(
@@ -191,6 +193,7 @@ def test_stage1_heals_worker_crash(multi_db):
     assert perf.counter("parallel.pool_fallbacks") == 1
 
 
+@pytest.mark.expect_fallback
 def test_extract_heals_worker_crash(multi_db):
     baseline = SchemaExtractor(multi_db).extract(k=6)
     result = ParallelExtractor(
@@ -201,10 +204,12 @@ def test_extract_heals_worker_crash(multi_db):
     assert result.degradation is None  # a healed crash is not degradation
 
 
+@pytest.mark.expect_fallback
 def test_sweep_falls_back_when_pool_breaks(multi_db, monkeypatch):
     from repro.parallel import extractor as pext
 
-    extractor = ParallelExtractor(multi_db, jobs=2)
+    # The spawn-per-call path is the one that runs through _run_pool.
+    extractor = ParallelExtractor(multi_db, jobs=2, use_shared_pool=False)
     stage1 = extractor.stage1()  # built through the (healthy) real pool
     monkeypatch.setattr(pext, "_run_pool", _broken_pool)
     sweep = extractor.sweep(step=8)
@@ -213,10 +218,11 @@ def test_sweep_falls_back_when_pool_breaks(multi_db, monkeypatch):
     assert not sweep.exhausted
 
 
+@pytest.mark.expect_fallback
 def test_extract_heals_sweep_pool_break(multi_db, monkeypatch):
     from repro.parallel import extractor as pext
 
-    extractor = ParallelExtractor(multi_db, jobs=2)
+    extractor = ParallelExtractor(multi_db, jobs=2, use_shared_pool=False)
     extractor.stage1()
     monkeypatch.setattr(pext, "_run_pool", _broken_pool)
     result = extractor.extract(sweep_step=8)  # k=None -> needs the sweep

@@ -92,6 +92,7 @@ class TestPooledEquivalence:
         assert shm.leaked_system_segments(os.getpid()) == []
 
 
+@pytest.mark.expect_fallback
 class TestWorkerDeath:
     def test_completed_results_survive_a_killed_worker(self, multi_db):
         """One worker dies hard mid-run; the pool respawns, loses no
