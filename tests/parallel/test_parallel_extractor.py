@@ -18,6 +18,7 @@ from repro.parallel import (
     parallel_stage1,
     parallel_sweep,
 )
+from repro.parallel.pool import SharedWorkerPool
 from repro.perf import PerfRecorder
 from repro.runtime.budget import Budget, CancellationToken
 from repro.synth.datasets import make_dbg
@@ -179,16 +180,15 @@ def _faulty_local_rule(db, obj):
     return local_rule(db, obj)
 
 
-def _broken_pool(tasks, fn, jobs, budget):
+def _broken_run(self, tasks, fn, budget=None):
     raise RuntimeError("injected pool crash")
 
 
 @pytest.mark.expect_fallback
-def test_stage1_heals_worker_crash(multi_db):
+def test_stage1_heals_worker_crash(multi_db, monkeypatch):
+    monkeypatch.setattr(SharedWorkerPool, "run", _broken_run)
     perf = PerfRecorder()
-    healed = parallel_stage1(
-        multi_db, jobs=2, local_rule_fn=_faulty_local_rule, perf=perf
-    )
+    healed = parallel_stage1(multi_db, jobs=2, perf=perf)
     _assert_same_typing(healed, minimal_perfect_typing(multi_db))
     assert perf.counter("parallel.pool_fallbacks") == 1
 
@@ -206,12 +206,9 @@ def test_extract_heals_worker_crash(multi_db):
 
 @pytest.mark.expect_fallback
 def test_sweep_falls_back_when_pool_breaks(multi_db, monkeypatch):
-    from repro.parallel import extractor as pext
-
-    # The spawn-per-call path is the one that runs through _run_pool.
-    extractor = ParallelExtractor(multi_db, jobs=2, use_shared_pool=False)
+    extractor = ParallelExtractor(multi_db, jobs=2)
     stage1 = extractor.stage1()  # built through the (healthy) real pool
-    monkeypatch.setattr(pext, "_run_pool", _broken_pool)
+    monkeypatch.setattr(SharedWorkerPool, "run", _broken_run)
     sweep = extractor.sweep(step=8)
     sequential = SchemaExtractor(multi_db, stage1=stage1).sweep(step=8)
     assert sweep.points == sequential.points
@@ -220,11 +217,9 @@ def test_sweep_falls_back_when_pool_breaks(multi_db, monkeypatch):
 
 @pytest.mark.expect_fallback
 def test_extract_heals_sweep_pool_break(multi_db, monkeypatch):
-    from repro.parallel import extractor as pext
-
-    extractor = ParallelExtractor(multi_db, jobs=2, use_shared_pool=False)
+    extractor = ParallelExtractor(multi_db, jobs=2)
     extractor.stage1()
-    monkeypatch.setattr(pext, "_run_pool", _broken_pool)
+    monkeypatch.setattr(SharedWorkerPool, "run", _broken_run)
     result = extractor.extract(sweep_step=8)  # k=None -> needs the sweep
     baseline = SchemaExtractor(multi_db).extract(sweep_step=8)
     assert result.chosen_k == baseline.chosen_k

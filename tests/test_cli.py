@@ -300,14 +300,12 @@ def test_extract_jobs_rejects_zero(oem_file, capsys):
     assert "jobs must be >= 1" in capsys.readouterr().err
 
 
-def test_extract_no_shared_pool_is_output_identical(oem_file, capsys):
-    """The legacy spawn-per-call path stays the byte-identical oracle."""
+def test_extract_jobs2_is_output_identical(oem_file, capsys):
+    """The pooled path prints exactly the ``--jobs 1`` oracle's output."""
+    assert main(["extract", oem_file, "-k", "2"]) == 0
+    sequential = capsys.readouterr().out
     assert main(["extract", oem_file, "-k", "2", "--jobs", "2"]) == 0
-    pooled = capsys.readouterr().out
-    assert main([
-        "extract", oem_file, "-k", "2", "--jobs", "2", "--no-shared-pool",
-    ]) == 0
-    assert capsys.readouterr().out == pooled
+    assert capsys.readouterr().out == sequential
 
 
 def test_sweep_jobs_auto(oem_file, capsys):
