@@ -39,7 +39,6 @@ encodes in the ``linkspace.encode`` span.  See ``docs/PERFORMANCE.md``.
 
 from __future__ import annotations
 
-from array import array
 from typing import (
     Dict,
     FrozenSet,
@@ -53,56 +52,6 @@ from typing import (
 
 from repro.core.typing_program import Direction, TypedLink
 from repro.perf import PerfRecorder, resolve as _resolve_perf
-
-#: Bits per packed mask word (matches ``repro.core.matrixspace``).
-WORD_BITS = 64
-
-
-def words_for(dimension: int) -> int:
-    """Packed uint64 words needed to cover ``dimension`` bit positions."""
-    return max(1, (dimension + WORD_BITS - 1) // WORD_BITS)
-
-
-def pack_masks(masks: Sequence[int], dimension: int) -> Tuple[array, int]:
-    """Pack masks into one flat little-endian ``array('Q')``.
-
-    Row ``i`` occupies words ``[i * n_words, (i + 1) * n_words)``; the
-    word layout is identical to :func:`repro.core.matrixspace.pack_mask`
-    so a packed buffer can be attached by either consumer.  Returns the
-    array and the per-row word count.
-    """
-    n_words = words_for(dimension)
-    row_bytes = n_words * 8
-    blob = bytearray(row_bytes * len(masks))
-    for i, mask in enumerate(masks):
-        blob[i * row_bytes:(i + 1) * row_bytes] = mask.to_bytes(
-            row_bytes, "little"
-        )
-    packed = array("Q")
-    packed.frombytes(bytes(blob))
-    return packed, n_words
-
-
-def unpack_masks(words: Sequence[int], n_words: int) -> List[int]:
-    """Invert :func:`pack_masks`: flat word sequence back to int masks.
-
-    Accepts any uint64 sequence — an ``array('Q')`` or a zero-copy
-    ``memoryview.cast('Q')`` over a shared-memory segment.
-    """
-    if n_words < 1:
-        raise ValueError(f"n_words must be >= 1, got {n_words}")
-    if len(words) % n_words:
-        raise ValueError(
-            f"word buffer of {len(words)} is not a multiple of row "
-            f"width {n_words}"
-        )
-    masks: List[int] = []
-    for start in range(0, len(words), n_words):
-        mask = 0
-        for offset in range(n_words):
-            mask |= words[start + offset] << (WORD_BITS * offset)
-        masks.append(mask)
-    return masks
 
 
 class LinkSpace:
@@ -201,36 +150,6 @@ class LinkSpace:
             low = mask & -mask
             mask ^= low
             yield links[low.bit_length() - 1]
-
-    # ------------------------------------------------------------------
-    # Export / attach (the wire-codec handshake)
-    # ------------------------------------------------------------------
-    def export_table(self) -> Tuple[Tuple[str, str, str], ...]:
-        """The interned links in bit order as plain string triples.
-
-        Each entry is ``(direction_value, label, target)`` — fully
-        picklable/packable, so a worker can rebuild an identical space
-        with :meth:`from_table` and interpret masks produced against
-        this one bit-for-bit.
-        """
-        return tuple(
-            (link.direction.value, link.label, link.target)
-            for link in self._links
-        )
-
-    @classmethod
-    def from_table(
-        cls, table: Iterable[Tuple[str, str, str]]
-    ) -> "LinkSpace":
-        """Rebuild a space from :meth:`export_table` output.
-
-        Bit ``i`` of the result is the ``i``-th table entry, so masks
-        travel between the exporting and attaching processes unchanged.
-        """
-        space = cls()
-        for direction_value, label, target in table:
-            space.bit(Direction(direction_value), label, target)
-        return space
 
     # ------------------------------------------------------------------
     # Retargeting (the Stage 2 diagonal projection)

@@ -3,9 +3,8 @@
 Public surface:
 
 * :class:`ParallelExtractor` — the ``--jobs N`` front end;
-* :class:`SharedWorkerPool` / :func:`resolve_jobs` — the
-  shared-memory worker pool (one per public call) and the
-  ``--jobs auto`` resolver;
+* :class:`SharedWorkerPool` / :func:`resolve_jobs` — the worker
+  pool (one per public call) and the ``--jobs auto`` resolver;
 * :func:`parallel_stage1` / :func:`parallel_sweep` — the two
   fan-out phases, usable on their own;
 * :func:`merge_shard_typings` / :func:`sharded_stage1` /

@@ -1,203 +1,18 @@
-"""Shared-memory payload segments for the persistent worker pool.
+"""The ``/dev/shm`` leak scan.
 
-One :class:`SharedPayload` is one immutable byte payload in a POSIX
-shared-memory segment (``/dev/shm`` on Linux): the pool creates it
-once, workers attach by name and read it zero-copy, and the creator
-unlinks it when the pool closes.  The module keeps the lifecycle
-honest in the three ways the tests pin:
-
-* **normal exit** — ``SharedWorkerPool.close()`` (or the pool's
-  ``finally``) unlinks every segment the process created;
-* **SIGINT** — the default handler raises ``KeyboardInterrupt``, which
-  unwinds through the same ``finally``; an :mod:`atexit` hook is the
-  backstop for payloads abandoned mid-flight, so the interpreter never
-  exits with a live segment it created;
-* **worker death** — workers only *attach*, and attachment bypasses
-  ``multiprocessing.resource_tracker`` enrolment (the well-known
-  pre-3.13 wart registers attachments too, and a dying worker's
-  tracker would otherwise unlink the creator's segment from under the
-  surviving pool).  A killed worker therefore cannot leak or destroy
-  anything — the mapping dies with the process, the named segment
-  stays owned by the creator.
-
-Segment names carry a ``repro_<pid>_`` prefix so the test suite can
-scan ``/dev/shm`` for leaks attributable to a specific process.
-
-Forked workers inherit the creator's registry; every unlink path is
-therefore guarded by the creating pid, and a child that exits can
-never unlink its parent's segments.
+The pool ships its database through the executor's initializer and
+creates no shared-memory segment; this scan is the check that it stays
+that way.  Segment names the library ever used carry a
+``repro_<pid>_`` prefix, so a leak is attributable to one process.
 """
 
 from __future__ import annotations
 
-import atexit
-import itertools
 import os
-import sys
-from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, List, Optional
-
-from repro.exceptions import ReproError
+from typing import List, Optional
 
 #: Prefix of every segment name this library creates (leak-scan key).
 NAME_PREFIX = "repro_"
-
-_COUNTER = itertools.count()
-
-#: Segments created (and not yet unlinked) by this process.
-_ACTIVE: Dict[str, "SharedPayload"] = {}
-
-_HOOK_INSTALLED = False
-
-
-def _install_cleanup_hook() -> None:
-    global _HOOK_INSTALLED
-    if not _HOOK_INSTALLED:
-        atexit.register(cleanup_owned)
-        _HOOK_INSTALLED = True
-
-
-def _attach_untracked(name: str) -> shared_memory.SharedMemory:
-    """Attach without enrolling in the resource tracker (see module doc).
-
-    Pre-3.13 the constructor registers attachments too; *suppressing*
-    that registration (rather than unregistering afterwards) matters
-    because forked workers share the parent's tracker process, whose
-    cache is a deduplicating set — a worker-side unregister would strip
-    the entry the creator's ``create`` registered and the creator's
-    later ``unlink`` would trip a ``KeyError`` inside the tracker.
-    """
-    if sys.version_info >= (3, 13):  # pragma: no cover - newer runtimes
-        return shared_memory.SharedMemory(name=name, track=False)
-    real_register = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = real_register
-
-
-class SharedPayload:
-    """One immutable payload in a named shared-memory segment.
-
-    Create on the pool side with :meth:`create`, attach on the worker
-    side with :meth:`attach`.  The payload length is stored in the
-    first 8 bytes because the kernel rounds segment sizes up to page
-    granularity.
-    """
-
-    __slots__ = ("_segment", "_size", "_owner_pid")
-
-    _HEADER = 8
-
-    def __init__(
-        self,
-        segment: shared_memory.SharedMemory,
-        size: int,
-        owner_pid: Optional[int],
-    ) -> None:
-        self._segment = segment
-        self._size = size
-        self._owner_pid = owner_pid
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def create(cls, data: bytes) -> "SharedPayload":
-        """Publish ``data`` in a fresh segment owned by this process."""
-        name = f"{NAME_PREFIX}{os.getpid()}_{next(_COUNTER)}"
-        segment = shared_memory.SharedMemory(
-            name=name, create=True, size=cls._HEADER + max(1, len(data))
-        )
-        segment.buf[:cls._HEADER] = len(data).to_bytes(cls._HEADER, "little")
-        segment.buf[cls._HEADER:cls._HEADER + len(data)] = data
-        payload = cls(segment, len(data), owner_pid=os.getpid())
-        _ACTIVE[name] = payload
-        _install_cleanup_hook()
-        return payload
-
-    @classmethod
-    def attach(cls, name: str) -> "SharedPayload":
-        """Attach to a creator's segment (read-only by convention)."""
-        segment = _attach_untracked(name)
-        size = int.from_bytes(segment.buf[:cls._HEADER], "little")
-        if cls._HEADER + size > segment.size:
-            raise ReproError(
-                f"shared segment {name!r} is shorter than its own header "
-                f"claims ({size} payload bytes in {segment.size})"
-            )
-        return cls(segment, size, owner_pid=None)
-
-    # ------------------------------------------------------------------
-    @property
-    def name(self) -> str:
-        """The segment name workers attach by."""
-        return self._segment.name
-
-    @property
-    def size(self) -> int:
-        """Payload bytes (excluding the length header)."""
-        return self._size
-
-    def view(self) -> memoryview:
-        """A zero-copy view of the payload bytes.
-
-        The view borrows the mapping: callers must drop it (let it go
-        out of scope or ``release()`` it) before :meth:`close`.
-        """
-        return self._segment.buf[self._HEADER:self._HEADER + self._size]
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Drop this process's mapping (the segment itself survives)."""
-        try:
-            self._segment.close()
-        except BufferError:  # pragma: no cover - a live view still borrows
-            pass
-
-    def unlink(self) -> None:
-        """Destroy the segment (creator only; idempotent).
-
-        A forked worker inherits the creator's object but must never
-        unlink it — the pid guard makes ``unlink`` a no-op everywhere
-        except the creating process.
-        """
-        if self._owner_pid != os.getpid():
-            return
-        _ACTIVE.pop(self.name, None)
-        self.close()
-        try:
-            self._segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-
-# ---------------------------------------------------------------------------
-# Process-level bookkeeping
-# ---------------------------------------------------------------------------
-
-
-def active_segment_names() -> List[str]:
-    """Names of segments this process created and has not unlinked."""
-    return sorted(_ACTIVE)
-
-
-def cleanup_owned() -> None:
-    """Unlink every segment this process still owns (atexit backstop)."""
-    for payload in list(_ACTIVE.values()):
-        payload.unlink()
-
-
-def forget_inherited() -> None:
-    """Drop registry entries inherited across ``fork``.
-
-    Pool workers call this from the initializer: the entries describe
-    the *parent's* segments, and while the pid guard already prevents a
-    child unlink, an inherited registry would also keep the parent's
-    mappings referenced for the worker's whole life.
-    """
-    for name, payload in list(_ACTIVE.items()):
-        if payload._owner_pid != os.getpid():
-            _ACTIVE.pop(name, None)
 
 
 def leaked_system_segments(pid: Optional[int] = None) -> List[str]:

@@ -233,54 +233,3 @@ class TestCachedBodyDistance:
         assert space.dimension == len(
             frozenset().union(*self.BODIES)
         )
-
-
-class TestPackedMaskTransport:
-    """The flat uint64 wire layout the shared-memory pool ships."""
-
-    def test_pack_unpack_round_trip(self):
-        from repro.core.linkspace import pack_masks, unpack_masks
-
-        masks = [0, 1, (1 << 64) | 1, (1 << 127) - 1, 1 << 100]
-        words, n_words = pack_masks(masks, dimension=128)
-        assert n_words == 2
-        assert len(words) == len(masks) * n_words
-        assert unpack_masks(words, n_words) == masks
-
-    def test_layout_matches_matrixspace_pack_mask(self):
-        from repro.core.linkspace import pack_masks, words_for
-
-        pytest.importorskip("numpy", exc_type=ImportError)
-        from repro.core import matrixspace
-
-        mask = (1 << 70) | (1 << 3)
-        dimension = 80
-        n_words = words_for(dimension)
-        packed, _ = pack_masks([mask], dimension)
-        reference = matrixspace.pack_mask(mask, n_words)
-        assert list(packed) == [int(w) for w in reference]
-
-    def test_unpack_accepts_memoryview_cast(self):
-        from array import array
-
-        from repro.core.linkspace import pack_masks, unpack_masks
-
-        masks = [5, 9, 1 << 63]
-        words, n_words = pack_masks(masks, dimension=64)
-        view = memoryview(array("Q", words)).cast("B").cast("Q")
-        assert unpack_masks(view, n_words) == masks
-
-    def test_unpack_rejects_ragged_buffers(self):
-        from repro.core.linkspace import unpack_masks
-
-        with pytest.raises(ValueError):
-            unpack_masks([1, 2, 3], 2)
-
-    def test_export_table_round_trip(self):
-        space = LinkSpace()
-        body = frozenset([NAME, ADVISOR, MEMBER, AGE])
-        mask = space.encode(body)
-        rebuilt = LinkSpace.from_table(space.export_table())
-        assert rebuilt.dimension == space.dimension
-        assert rebuilt.decode(mask) == body
-        assert rebuilt.encode(body) == mask
