@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.core.perfect import minimal_perfect_typing, verify_perfect
 from repro.graph.database import Database
 from repro.graph.partition import extract_shard, partition_database
-from repro.parallel.merge import sharded_stage1
+from repro.parallel.merge import merge_shard_typings, sharded_stage1
 
 labels = st.sampled_from(["a", "b", "c"])
 
@@ -96,16 +96,22 @@ def test_sharded_stage1_respects_max_objects(db, num_shards, cap):
 def test_reconcile_modes_agree_three_ways(db, num_shards):
     """Sequential == full-db-GFP reconcile == restricted reconcile.
 
-    The PR's exactness claim for the distributed reconcile: the
-    quotient + per-shard restricted GFP pass
-    (``parallel_reconcile=True``, the in-process twin of the pooled
-    path) must produce the same typing as both the full-database GFP
-    reconcile and the sequential Stage 1 on any generated
+    The exactness claim for the distributed reconcile: the quotient +
+    per-shard restricted GFP pass (``sharded_stage1``, the in-process
+    twin of the pooled path) must produce the same typing as both the
+    full-database GFP reconcile (``merge_shard_typings`` without
+    ``reconcile=``) and the sequential Stage 1 on any generated
     multi-component database.
     """
     sequential = minimal_perfect_typing(db)
-    full_gfp = sharded_stage1(db, num_shards, parallel_reconcile=False)
-    restricted = sharded_stage1(db, num_shards, parallel_reconcile=True)
+    full_gfp = merge_shard_typings(
+        db,
+        [
+            minimal_perfect_typing(extract_shard(db, shard.objects))
+            for shard in partition_database(db, num_shards)
+        ],
+    )
+    restricted = sharded_stage1(db, num_shards)
     _assert_same_typing(full_gfp, sequential)
     _assert_same_typing(restricted, sequential)
     assert verify_perfect(restricted, db)
