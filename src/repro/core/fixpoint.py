@@ -39,6 +39,9 @@ of the label/direction the dependent link requires.  Those objects are
 enumerated through the database's reverse (and forward) adjacency
 indexes — ``Database.sources_view`` / ``Database.targets_view``, built
 once and maintained incrementally — and only they are re-verified.
+The worklist is seeded in type-name order and bodies are checked in
+:meth:`~repro.core.typing_program.TypeRule.sorted_body` order, so the
+work counters do not depend on string-hash order (``PYTHONHASHSEED``).
 
 Two further consequences of starting from the signature bound are
 exploited:
@@ -251,10 +254,14 @@ def _signature_upper_bound(
 def dependent_links(
     program: TypingProgram,
 ) -> Dict[str, List[Tuple[str, TypedLink]]]:
-    """``j -> [(dependent type, the link of its body targeting j)]``."""
+    """``j -> [(dependent type, the link of its body targeting j)]``.
+
+    Built in type-name order over :meth:`TypeRule.sorted_body`, so the
+    worklists that consume it do not follow string-hash order.
+    """
     dependents: Dict[str, List[Tuple[str, TypedLink]]] = {}
-    for rule in program.rules():
-        for link in rule.body:
+    for rule in sorted(program.rules(), key=lambda r: r.name):
+        for link in rule.sorted_body():
             if not is_atomic_name(link.target):
                 dependents.setdefault(link.target, []).append((rule.name, link))
     return dependents
@@ -314,7 +321,9 @@ def greatest_fixpoint(
     # signature bound (see the module doc), so only complex-target
     # links are ever evaluated.
     complex_body: Dict[str, Tuple[TypedLink, ...]] = {
-        rule.name: tuple(l for l in rule.body if not l.is_atomic_target)
+        rule.name: tuple(
+            l for l in rule.sorted_body() if not l.is_atomic_target
+        )
         for rule in program.rules()
     }
 
@@ -322,7 +331,7 @@ def greatest_fixpoint(
     # full verification (which subsumes any dirty marks); afterwards a
     # set of objects that may have lost a witness since the last check.
     dirty: Dict[str, Optional[Set[ObjectId]]] = {name: None for name in extents}
-    queue = deque(extents)
+    queue = deque(sorted(extents))
     queued: Set[str] = set(extents)
     iterations = 0
     object_checks = 0
@@ -527,12 +536,13 @@ def greatest_fixpoint_rescan(
 
     # dependents[j] = types whose body mentions type j.
     dependents: Dict[str, List[str]] = {}
-    for rule in program.rules():
-        for target in rule.targets():
+    for rule in sorted(program.rules(), key=lambda r: r.name):
+        for target in sorted(rule.targets()):
             if not is_atomic_name(target):
                 dependents.setdefault(target, []).append(rule.name)
+    bodies = {rule.name: rule.sorted_body() for rule in program.rules()}
 
-    queue = deque(extents)
+    queue = deque(sorted(extents))
     queued: Set[str] = set(extents)
     iterations = 0
     object_checks = 0
@@ -544,7 +554,6 @@ def greatest_fixpoint_rescan(
             name = queue.popleft()
             queued.discard(name)
             iterations += 1
-            rule = program.rule(name)
             members = extents[name]
             if not members:
                 continue
@@ -552,7 +561,7 @@ def greatest_fixpoint_rescan(
             survivors = set()
             for obj in members:
                 ok = True
-                for link in rule.body:
+                for link in bodies[name]:
                     satisfaction_checks += 1
                     if not satisfies_link(db, obj, link, extents):
                         ok = False

@@ -1,5 +1,12 @@
 """Unit tests for the greatest/least fixpoint engine."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.core.fixpoint import (
@@ -14,6 +21,32 @@ from repro.core.notation import parse_program
 from repro.core.typing_program import Direction, TypingProgram, make_rule
 from repro.graph.builder import DatabaseBuilder
 from repro.perf import PerfRecorder
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: Runs both GFP engines on the DBG ``Q_D`` and prints their counters.
+_COUNTERS_SCRIPT = textwrap.dedent(
+    """
+    import json
+
+    from repro.core.fixpoint import greatest_fixpoint, greatest_fixpoint_rescan
+    from repro.core.perfect import build_object_program
+    from repro.perf import PerfRecorder
+    from repro.synth.datasets import make_dbg
+
+    db = make_dbg(seed=1998)
+    program = build_object_program(db)
+    out = {}
+    for engine in (greatest_fixpoint, greatest_fixpoint_rescan):
+        perf = PerfRecorder()
+        engine(program, db, perf=perf)
+        out[engine.__name__] = [
+            perf.counter("gfp.satisfaction_checks"),
+            perf.counter("gfp.type_rechecks"),
+        ]
+    print(json.dumps(out))
+    """
+)
 
 
 class TestPaperSemantics:
@@ -182,6 +215,29 @@ class TestPerfCounters:
         fast_checks = fast_perf.counter("gfp.satisfaction_checks")
         rescan_checks = rescan_perf.counter("gfp.satisfaction_checks")
         assert 0 < fast_checks < rescan_checks
+
+    def test_work_counters_do_not_depend_on_hash_seed(self):
+        """Object ids and type names are strings, so any set-ordered
+        worklist would change its work with ``PYTHONHASHSEED``.  Both
+        engines must report the same counters in two interpreters with
+        different hash seeds."""
+
+        def run(seed):
+            env = dict(os.environ)
+            env["PYTHONHASHSEED"] = seed
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", _COUNTERS_SCRIPT],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(proc.stdout)
+
+        first, second = run("0"), run("2")
+        assert first == second
+        assert first["greatest_fixpoint"][0] > 0
 
     def test_null_recorder_default_records_nothing(self, figure2_db, p0_program):
         from repro.perf import NULL_RECORDER
