@@ -29,13 +29,6 @@ from typing import AbstractSet, Callable, Dict, Iterable
 from repro.core.typing_program import TypedLink, TypeRule
 
 #: Signature of a weighted distance: (w1, w2, d) -> cost.
-#:
-#: A distance may additionally carry a ``w1_independent = True``
-#: attribute, asserting that its value never depends on the first
-#: (absorber-weight) argument.  :class:`repro.core.clustering.GreedyMerger`
-#: uses the flag to keep absorb-side heap candidates alive across
-#: weight-only changes; an incorrectly flagged distance yields stale
-#: merge costs, so only set it when the property holds exactly.
 WeightedDistance = Callable[[float, float, float], float]
 
 
@@ -95,9 +88,6 @@ def delta_2(w1: float, w2: float, d: float) -> float:
     return d * w2
 
 
-delta_2.w1_independent = True
-
-
 def delta_3(w1: float, w2: float, d: float) -> float:
     """``delta_3 = (w1 * w2)^(1/d)``.
 
@@ -121,7 +111,6 @@ def delta_4(dimensions: int) -> WeightedDistance:
         return base**d * w2
 
     delta.__name__ = "delta_4"
-    delta.w1_independent = True
     return delta
 
 

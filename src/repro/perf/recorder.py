@@ -9,7 +9,7 @@ perturbing them:
 
 * a :class:`PerfRecorder` collects named **counters** (monotone work
   tallies such as ``gfp.object_checks``), **peaks** (high-water marks
-  such as ``merge.peak_heap``) and **timers** (wall-clock spans opened
+  such as ``parallel.peak_shard_objects``) and **timers** (wall-clock spans opened
   with :meth:`PerfRecorder.span`);
 * the module-level :data:`NULL_RECORDER` is a no-op subclass used as
   the default everywhere, so uninstrumented callers pay one attribute

@@ -7,7 +7,6 @@ from repro.core.clustering import (
     GreedyMerger,
     MergePolicy,
 )
-from repro.core.distance import delta_2
 from repro.core.notation import parse_program
 from repro.core.typing_program import TypedLink, TypingProgram, make_rule
 from repro.exceptions import ClusteringError
@@ -308,71 +307,3 @@ class TestEmptyWeightDefault:
             program, {"a": 9.0}, allow_empty_type=True, empty_weight=0.5
         )
         assert merger.empty_weight == pytest.approx(0.5)
-
-
-class TestHeapFastPath:
-    """The w1-independent absorb-side fast path is an optimisation only:
-    merge order and results must match a run with the fast path off."""
-
-    @staticmethod
-    def _inputs():
-        program = parse_program(
-            "\n".join(
-                f"t{i} = ->l{i % 4}^0, ->m{i % 3}^0, ->shared^0"
-                for i in range(10)
-            )
-        )
-        weights = {f"t{i}": (i * 13) % 7 + 1 for i in range(10)}
-        return program, weights
-
-    def test_fastpath_matches_unflagged_distance(self):
-        program, weights = self._inputs()
-
-        def plain_delta(w1, w2, d):  # delta_2 without the w1_independent flag
-            return delta_2(w1, w2, d)
-
-        fast = GreedyMerger(program, weights, distance=delta_2).run_to(2)
-        slow = GreedyMerger(program, weights, distance=plain_delta).run_to(2)
-        assert fast.program == slow.program
-        assert fast.merge_map == slow.merge_map
-        assert [(r.absorber, r.absorbed) for r in fast.records] == [
-            (r.absorber, r.absorbed) for r in slow.records
-        ]
-        assert fast.total_cost == pytest.approx(slow.total_cost)
-
-    def test_fastpath_matches_with_empty_type(self):
-        program, weights = self._inputs()
-
-        def plain_delta(w1, w2, d):
-            return delta_2(w1, w2, d)
-
-        kwargs = dict(allow_empty_type=True, empty_weight=2.0)
-        fast = GreedyMerger(
-            program, weights, distance=delta_2, **kwargs
-        ).run_to(2)
-        slow = GreedyMerger(
-            program, weights, distance=plain_delta, **kwargs
-        ).run_to(2)
-        assert fast.program == slow.program
-        assert [(r.absorber, r.absorbed) for r in fast.records] == [
-            (r.absorber, r.absorbed) for r in slow.records
-        ]
-
-    def test_fastpath_skips_absorb_side_regeneration(self):
-        from repro.perf import PerfRecorder
-
-        program, weights = self._inputs()
-        flagged, unflagged = PerfRecorder(), PerfRecorder()
-
-        def plain_delta(w1, w2, d):
-            return delta_2(w1, w2, d)
-
-        GreedyMerger(program, weights, distance=delta_2, perf=flagged).run_to(2)
-        GreedyMerger(
-            program, weights, distance=plain_delta, perf=unflagged
-        ).run_to(2)
-        assert flagged.counter("merge.absorb_regen_skipped") > 0
-        assert unflagged.counter("merge.absorb_regen_skipped") == 0
-        assert flagged.counter("merge.heap_pushes") < unflagged.counter(
-            "merge.heap_pushes"
-        )

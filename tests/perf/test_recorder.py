@@ -101,12 +101,12 @@ class TestExport:
     def test_summary_mentions_everything(self):
         perf = PerfRecorder()
         perf.incr("gfp.checks", 42)
-        perf.peak("merge.peak_heap", 9)
+        perf.peak("parallel.peak_shard_objects", 9)
         with perf.span("stage"):
             pass
         text = perf.summary()
         assert "gfp.checks" in text
-        assert "merge.peak_heap" in text
+        assert "parallel.peak_shard_objects" in text
         assert "stage" in text
 
     def test_empty_summary(self):

@@ -201,7 +201,7 @@ def test_sweep_perf_report(oem_file, tmp_path):
     assert main(["sweep", oem_file, "--perf-report", str(report)]) == 0
     data = json.loads(report.read_text(encoding="utf-8"))
     assert data["counters"]["sweep.samples"] > 0
-    assert data["counters"]["merge.heap_pushes"] > 0
+    assert data["counters"]["merge.row_scans"] > 0
 
 
 @pytest.fixture
