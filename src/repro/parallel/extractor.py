@@ -13,7 +13,7 @@
   samples, one block per worker, each worker replaying the (fully
   deterministic) merge sequence down through its block;
 * **Stages 2 and 3 stay sequential and global** — the greedy merge is
-  one inherently serial heap walk — by handing the merged Stage 1 to a
+  one inherently serial greedy loop — by handing the merged Stage 1 to a
   plain :class:`SchemaExtractor` via its ``stage1=`` injection point.
 
 ``jobs=1`` never touches a pool: every call delegates straight to the

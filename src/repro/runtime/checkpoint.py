@@ -12,8 +12,10 @@ Because every :class:`~repro.core.clustering.GreedyMerger` operation
 is deterministic given the pair being merged, replaying the trace
 reconstructs the merger state **exactly** — same bodies, same weights,
 same merge map, same total cost — after which the run continues as if
-it had never stopped.  (Replaying ``m`` merges is much cheaper than
-re-searching them: no heap churn, no candidate re-scoring.)
+it had never stopped.  (Replay skips only the choice of each merge:
+:meth:`~repro.core.clustering.GreedyMerger.merge_pair` keeps the row
+minima up to date, so the resumed run chooses exactly as the
+uninterrupted one would have.)
 
 The on-disk format is a single JSON document with the program stored
 in the paper's arrow notation (the same text

@@ -1,4 +1,4 @@
-"""Additional Stage 2 coverage: heap laziness, cost semantics, traces."""
+"""Additional Stage 2 coverage: candidate upkeep, cost semantics, traces."""
 
 import pytest
 
@@ -43,8 +43,9 @@ class TestCostSemantics:
 
 class TestHeapLaziness:
     def test_stale_candidates_never_fire(self):
-        """After many merges the heap holds stale entries; every popped
-        merge must reference two live types."""
+        """After many merges, rows whose cheapest absorber merged away
+        have been rescanned; every executed merge must reference two
+        live types."""
         lines = [f"t{i} = ->l{i}^0, ->shared^0" for i in range(12)]
         program = parse_program("\n".join(lines))
         merger = GreedyMerger(
