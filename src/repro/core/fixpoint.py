@@ -55,11 +55,12 @@ exploited:
 * **failures are permanent** — extents only shrink, so verification
   stops at the first failing link (no resurrection to track).
 
-The pre-PR engine, which rescanned the *full* extent of every
-dependent type on each shrink and evaluated every body link, is kept
-as :func:`greatest_fixpoint_rescan`: it is the regression-benchmark
-baseline (see ``benchmarks/bench_perf_regression.py``) and a second
-oracle next to :func:`greatest_fixpoint_naive`.
+Its oracle is :func:`greatest_fixpoint_naive`, the paper's
+"straightforward method" (start from every object in every type,
+iterate rounds); the test suite also checks it against the generic
+datalog engine (:func:`repro.datalog.evaluation.evaluate_gfp`), and
+``benchmarks/bench_perf_regression.py`` gates its wall time against
+the naive one.
 
 The module also provides the naive least fixpoint and membership
 explanations used by the defect reports and the test suite.
@@ -117,16 +118,12 @@ def link_kind(link: TypedLink) -> _Kind:
     return (link.direction, link.label, "a" if sort is None else f"a:{sort}")
 
 
-#: Backwards-compatible private alias (pre-delta-engine name).
-_kind_of = link_kind
-
-
 def rule_kinds(rule: TypeRule) -> FrozenSet[_Kind]:
     """The set of edge kinds a rule's body requires.
 
     An object belongs to the rule's signature upper bound iff this set
     is a subset of its :func:`object_signature` — the candidacy test
-    shared by :func:`greatest_fixpoint` and the differential engine in
+    shared by :func:`greatest_fixpoint` and the incremental Stage 1 in
     :mod:`repro.core.delta`.
     """
     return frozenset(link_kind(link) for link in rule.body)
@@ -270,7 +267,6 @@ def dependent_links(
 def greatest_fixpoint(
     program: TypingProgram,
     db: Database,
-    restrict_to: Optional[Mapping[str, Iterable[ObjectId]]] = None,
     budget: Optional["Budget"] = None,
     perf: Optional[PerfRecorder] = None,
     objects: Optional[Iterable[ObjectId]] = None,
@@ -284,10 +280,6 @@ def greatest_fixpoint(
         atomic objects implicitly form ``type_0``.
     db:
         The database.
-    restrict_to:
-        Optional per-type upper bounds intersected with the signature
-        bound before iterating.  Must itself contain the intended
-        fixpoint (used by incremental recomputation in Stage 3).
     budget:
         Optional :class:`~repro.runtime.budget.Budget` charged one unit
         per type re-check; a tripped limit unwinds the worklist with
@@ -311,10 +303,6 @@ def greatest_fixpoint(
     perf = _resolve_perf(perf)
     with perf.span("gfp.signature_bound"):
         extents = _signature_upper_bound(program, db, perf, objects)
-    if restrict_to is not None:
-        for name, allowed in restrict_to.items():
-            if name in extents:
-                extents[name] &= set(allowed)
 
     dependents = dependent_links(program)
     # Atomic-target links hold by construction for every member of the
@@ -507,81 +495,6 @@ def bisimulation_quotient(
         for rep in representative.values()
     ]
     return TypingProgram(quotient_rules, check=False), mapping
-
-
-def greatest_fixpoint_rescan(
-    program: TypingProgram,
-    db: Database,
-    restrict_to: Optional[Mapping[str, Iterable[ObjectId]]] = None,
-    budget: Optional["Budget"] = None,
-    perf: Optional[PerfRecorder] = None,
-) -> FixpointResult:
-    """The pre-dirty-tracking worklist engine (full-extent rescan).
-
-    Semantically identical to :func:`greatest_fixpoint` — same
-    signature upper bound, same worklist — but when the extent of type
-    ``j`` shrinks, every dependent type re-verifies its *entire*
-    extent rather than just the objects adjacent to the removals.
-    Kept as the regression-benchmark baseline and as a second oracle in
-    the property-test suite; records the same ``gfp.*`` counters so
-    the two engines' ``gfp.object_checks`` are directly comparable.
-    """
-    perf = _resolve_perf(perf)
-    with perf.span("gfp.signature_bound"):
-        extents = _signature_upper_bound(program, db, perf)
-    if restrict_to is not None:
-        for name, allowed in restrict_to.items():
-            if name in extents:
-                extents[name] &= set(allowed)
-
-    # dependents[j] = types whose body mentions type j.
-    dependents: Dict[str, List[str]] = {}
-    for rule in sorted(program.rules(), key=lambda r: r.name):
-        for target in sorted(rule.targets()):
-            if not is_atomic_name(target):
-                dependents.setdefault(target, []).append(rule.name)
-    bodies = {rule.name: rule.sorted_body() for rule in program.rules()}
-
-    queue = deque(sorted(extents))
-    queued: Set[str] = set(extents)
-    iterations = 0
-    object_checks = 0
-    satisfaction_checks = 0
-    with perf.span("gfp.iterate"):
-        while queue:
-            if budget is not None:
-                budget.charge()
-            name = queue.popleft()
-            queued.discard(name)
-            iterations += 1
-            members = extents[name]
-            if not members:
-                continue
-            object_checks += len(members)
-            survivors = set()
-            for obj in members:
-                ok = True
-                for link in bodies[name]:
-                    satisfaction_checks += 1
-                    if not satisfies_link(db, obj, link, extents):
-                        ok = False
-                        break
-                if ok:
-                    survivors.add(obj)
-            if len(survivors) != len(members):
-                extents[name] = survivors
-                for dependent in dependents.get(name, ()):
-                    if dependent not in queued:
-                        queue.append(dependent)
-                        queued.add(dependent)
-
-    perf.incr("gfp.type_rechecks", iterations)
-    perf.incr("gfp.object_checks", object_checks)
-    perf.incr("gfp.satisfaction_checks", satisfaction_checks)
-    return FixpointResult(
-        extents={name: frozenset(members) for name, members in extents.items()},
-        iterations=iterations,
-    )
 
 
 def greatest_fixpoint_naive(program: TypingProgram, db: Database) -> FixpointResult:

@@ -16,12 +16,6 @@ from repro.graph.database import Database
 
 
 class TestFixpointEdges:
-    def test_restrict_to_unknown_type_ignored(self, figure2_db, p0_program):
-        result = greatest_fixpoint(
-            p0_program, figure2_db, restrict_to={"ghost": ["g"]}
-        )
-        assert result.members("person") == {"g", "j"}
-
     def test_self_loop_object(self):
         db = Database()
         db.add_link("n", "m", "next")
