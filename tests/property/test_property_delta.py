@@ -1,14 +1,10 @@
-"""Property-based tests for differential GFP maintenance.
+"""Property-based tests for incremental Stage 1 maintenance.
 
 The central invariant is *oracle equality*: on any database, any
-mutation batch, the differential engines produce exactly what the
-from-scratch engines produce on the post-batch database —
-
-* :func:`differential_gfp` matches :func:`greatest_fixpoint` for a
-  fixed program;
-* :class:`Stage1Maintainer` matches :func:`minimal_perfect_typing`
-  (program, homes, extents and weights), including across *chained*
-  batches folded into one maintainer;
+mutation batch, :class:`Stage1Maintainer` produces exactly what
+:func:`minimal_perfect_typing` produces from scratch on the post-batch
+database (program, homes, extents and weights), including across
+*chained* batches folded into one maintainer;
 
 plus the drift-counter contract of
 :class:`~repro.core.incremental.IncrementalTyper`: ``refresh`` resets
@@ -19,12 +15,10 @@ the counters iff it adopts a result, and ``stale()`` never trips below
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.delta import Stage1Maintainer, differential_gfp
-from repro.core.fixpoint import greatest_fixpoint
+from repro.core.delta import Stage1Maintainer
 from repro.core.incremental import IncrementalTyper
 from repro.core.perfect import minimal_perfect_typing
 from repro.core.pipeline import SchemaExtractor
-from repro.core.typing_program import TypedLink, TypeRule, TypingProgram
 from repro.graph.database import Database
 
 labels = st.sampled_from(["a", "b", "c"])
@@ -45,26 +39,6 @@ def databases(draw):
     if db.num_complex == 0:
         db.add_complex("o0")
     return db
-
-
-@st.composite
-def programs(draw):
-    names = [f"t{i}" for i in range(draw(st.integers(1, 3)))]
-    rules = []
-    for name in names:
-        body = set()
-        for _ in range(draw(st.integers(0, 3))):
-            form = draw(st.integers(0, 2))
-            label = draw(labels)
-            target = draw(st.sampled_from(names))
-            if form == 0:
-                body.add(TypedLink.to_atomic(label))
-            elif form == 1:
-                body.add(TypedLink.outgoing(label, target))
-            else:
-                body.add(TypedLink.incoming(label, target))
-        rules.append(TypeRule(name, frozenset(body)))
-    return TypingProgram(rules)
 
 
 @st.composite
@@ -109,25 +83,6 @@ def apply_batch(db, batch):
         for op in batch:
             op(db)
     return log
-
-
-@given(databases(), programs(), mutation_batches())
-@settings(max_examples=60, deadline=None)
-def test_differential_gfp_matches_oracle(db, program, batch):
-    old = greatest_fixpoint(program, db)
-    log = apply_batch(db, batch)
-    result = differential_gfp(program, db, old.extents, log)
-    assert result.extents == greatest_fixpoint(program, db).extents
-
-
-@given(databases(), programs(), mutation_batches(), mutation_batches())
-@settings(max_examples=40, deadline=None)
-def test_differential_gfp_chains(db, program, batch1, batch2):
-    extents = greatest_fixpoint(program, db).extents
-    for batch in (batch1, batch2):
-        log = apply_batch(db, batch)
-        extents = differential_gfp(program, db, extents, log).extents
-        assert extents == greatest_fixpoint(program, db).extents
 
 
 @given(databases(), mutation_batches())
