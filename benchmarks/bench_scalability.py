@@ -154,22 +154,6 @@ def test_stage1_scaling(benchmark, num_objects):
     assert elapsed < 60
 
 
-def test_bisim_engines_scale(benchmark):
-    """Hopcroft-style refinement matches the naive engine and scales."""
-    from repro.bisim.hopcroft import refine_hopcroft
-    from repro.bisim.partition import refine_partition
-
-    db = make_scaled(800)
-
-    def both():
-        fast = refine_hopcroft(db, use_outgoing=True, use_incoming=True)
-        slow = refine_partition(db, use_outgoing=True, use_incoming=True)
-        return fast, slow
-
-    fast, slow = benchmark.pedantic(both, rounds=1, iterations=1)
-    assert fast == slow
-
-
 def test_worklist_beats_naive(benchmark, report):
     """The optimised engine does far less work than the naive
     all-objects-in-all-types iteration on the per-object program."""

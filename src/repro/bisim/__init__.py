@@ -9,7 +9,10 @@ an ``l``-edge to class ``pi_j`` (in either direction), split it.
 This subpackage implements that computation (forward, backward and
 forward+backward variants, plus the depth-bounded ``k``-bisimulation
 used by the representative-object baseline) so the benchmarks can
-compare partition sizes against the minimal perfect typing.
+compare partition sizes against the minimal perfect typing.  The one
+engine is :func:`refine_partition`; the test suite checks it against a
+brute-force greatest bisimulation, and checks that bisimilar objects
+share a Stage 1 home type.
 """
 
 from repro.bisim.bisimulation import (
@@ -17,7 +20,6 @@ from repro.bisim.bisimulation import (
     bisimulation_partition,
     k_bisimulation_partition,
 )
-from repro.bisim.hopcroft import refine_hopcroft
 from repro.bisim.partition import Partition, refine_partition
 
 __all__ = [
@@ -25,6 +27,5 @@ __all__ = [
     "bisimilar",
     "bisimulation_partition",
     "k_bisimulation_partition",
-    "refine_hopcroft",
     "refine_partition",
 ]

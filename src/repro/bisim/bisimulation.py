@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet
 
-from repro.bisim.hopcroft import refine_hopcroft
 from repro.bisim.partition import Partition, refine_partition
 from repro.exceptions import ReproError
 from repro.graph.database import Database, ObjectId
@@ -37,15 +36,12 @@ def _named_blocks(partition: Partition) -> Dict[str, FrozenSet[ObjectId]]:
 
 
 def bisimulation_partition(
-    db: Database, direction: str = "both", method: str = "naive"
+    db: Database, direction: str = "both"
 ) -> Dict[str, FrozenSet[ObjectId]]:
     """The coarsest stable partition of the complex objects.
 
     ``direction`` is ``"both"`` (paper's variant), ``"forward"``
     (outgoing edges only — the DataGuide world view) or ``"backward"``.
-    ``method`` selects the engine: ``"naive"`` (signature rounds) or
-    ``"hopcroft"`` (splitter queue — same result, validated by the
-    property tests, faster on large sparse graphs).
     """
     try:
         use_out, use_in = _DIRECTIONS[direction]
@@ -54,18 +50,7 @@ def bisimulation_partition(
             f"unknown direction {direction!r}; expected one of "
             f"{sorted(_DIRECTIONS)}"
         ) from None
-    if method == "naive":
-        partition = refine_partition(
-            db, use_outgoing=use_out, use_incoming=use_in
-        )
-    elif method == "hopcroft":
-        partition = refine_hopcroft(
-            db, use_outgoing=use_out, use_incoming=use_in
-        )
-    else:
-        raise ReproError(
-            f"unknown method {method!r}; expected 'naive' or 'hopcroft'"
-        )
+    partition = refine_partition(db, use_outgoing=use_out, use_incoming=use_in)
     return _named_blocks(partition)
 
 

@@ -10,6 +10,7 @@ from repro.bisim.bisimulation import (
 from repro.bisim.partition import Partition, refine_partition
 from repro.exceptions import ReproError
 from repro.graph.builder import DatabaseBuilder
+from tests.bisim.oracle import greatest_bisimulation
 
 
 class TestPartition:
@@ -104,22 +105,18 @@ class TestRefinement:
         assert partition == again
 
 
-class TestHopcroftMethod:
-    def test_methods_agree_on_fixtures(self, figure2_db, figure4_db):
+class TestBruteForceOracle:
+    def test_agrees_on_fixtures(self, figure2_db, figure4_db):
         for db in (figure2_db, figure4_db):
-            for direction in ("both", "forward", "backward"):
-                naive = bisimulation_partition(db, direction, method="naive")
-                fast = bisimulation_partition(db, direction, method="hopcroft")
-                assert naive == fast
+            for use_out, use_in in ((True, True), (True, False), (False, True)):
+                assert refine_partition(
+                    db, use_outgoing=use_out, use_incoming=use_in
+                ) == greatest_bisimulation(
+                    db, use_outgoing=use_out, use_incoming=use_in
+                )
 
-    def test_methods_agree_on_dbg(self):
+    def test_agrees_on_dbg(self):
         from repro.synth.datasets import make_dbg
 
         db = make_dbg(seed=4)
-        naive = bisimulation_partition(db, "both", method="naive")
-        fast = bisimulation_partition(db, "both", method="hopcroft")
-        assert naive == fast
-
-    def test_unknown_method_rejected(self, figure2_db):
-        with pytest.raises(ReproError):
-            bisimulation_partition(figure2_db, "both", method="magic")
+        assert refine_partition(db) == greatest_bisimulation(db)

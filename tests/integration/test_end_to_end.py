@@ -91,6 +91,10 @@ class TestBaselineComparison:
         # Both are "perfect" summaries and land in the same size regime.
         assert stage1.num_types > 100
         assert len(bisim) > 100
+        # Bisimilar objects lie in the same GFP extents, so each block
+        # sits inside one Stage 1 home class.
+        for block in bisim.values():
+            assert len({stage1.home_type[obj] for obj in block}) == 1
 
     def test_dataguide_on_rooted_data(self):
         data = {
