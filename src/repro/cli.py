@@ -119,8 +119,9 @@ def _make_extractor(args: argparse.Namespace, db, perf):
     ``--jobs 1`` (the default) builds a plain :class:`SchemaExtractor`
     so the sequential path stays byte-identical; ``--jobs N`` (or
     ``--jobs auto``, which resolves to the machine's CPU count) builds
-    a :class:`ParallelExtractor`, which itself falls back to sequential
-    when the graph is a single component.
+    a :class:`ParallelExtractor`, which runs Stage 1 and the sweep on
+    a worker pool (Stage 1 stays in-process when the graph is a single
+    component).
     """
     jobs = resolve_jobs(getattr(args, "jobs", 1))
     common = dict(

@@ -263,7 +263,6 @@ class IncrementalTyper:
     def rebuild(
         self,
         k: Optional[int] = None,
-        jobs: int = 1,
         perf=None,
         **extractor_options,
     ) -> ExtractionResult:
@@ -271,24 +270,11 @@ class IncrementalTyper:
 
         ``k`` defaults to the previous ``k`` (clamped by the pipeline if
         the perfect typing shrank below it); extra keyword arguments are
-        forwarded to :class:`~repro.core.pipeline.SchemaExtractor` —
-        or, with ``jobs > 1``, to
-        :class:`~repro.parallel.extractor.ParallelExtractor`, which
-        shards Stage 1 (and the distributed reconcile) over one worker
-        pool for the call.  The parallel import stays lazy so the
-        incremental tier never drags in multiprocessing for ``jobs=1``.
+        forwarded to :class:`~repro.core.pipeline.SchemaExtractor`.
         """
-        if jobs > 1:
-            from repro.parallel.extractor import ParallelExtractor
-
-            extractor = ParallelExtractor(
-                self._db, jobs=jobs, perf=perf, **extractor_options
-            )
-        else:
-            extractor = SchemaExtractor(
-                self._db, perf=perf, **extractor_options
-            )
-        result = extractor.extract(k=self._k if k is None else k)
+        result = SchemaExtractor(
+            self._db, perf=perf, **extractor_options
+        ).extract(k=self._k if k is None else k)
         self._program = result.program
         self._assignment = dict(result.assignment)
         self._k = result.chosen_k

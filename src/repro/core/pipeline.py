@@ -8,8 +8,11 @@
    chosen automatically from the sensitivity sweep's knee);
 3. **Stage 3** — recasting all objects into the final types;
 
-and finally measures the defect of the result.  This is the public
-entry point used by the examples, the CLI and the benchmark harnesses:
+and finally measures the defect of the result.  Stage 1 and the sweep
+are the two steps a subclass may override:
+:class:`~repro.parallel.extractor.ParallelExtractor` runs both on a
+worker pool and inherits everything else.  This is the public entry
+point used by the examples, the CLI and the benchmark harnesses:
 
 >>> from repro import SchemaExtractor
 >>> from repro.graph import DatabaseBuilder
@@ -161,8 +164,7 @@ class SchemaExtractor:
         multiple-atomic-sorts refinement.
     stage1:
         A precomputed Stage 1 result to reuse instead of computing one
-        (the parallel extractor injects the merged shard typing here,
-        so the sequential Stage 2/3 machinery runs unchanged on top).
+        (the incremental refresh injects its maintained Stage 1 here).
     recast_memo:
         Accepted and ignored.  The cross-sample recast memo it used to
         switch was deleted: on int masks a memo probe costs more than
@@ -220,6 +222,14 @@ class SchemaExtractor:
     # ------------------------------------------------------------------
     def stage1(self) -> PerfectTyping:
         """Stage 1 result (cached across calls)."""
+        return self._stage1_step(None)
+
+    def _stage1_step(self, budget: Optional[Budget]) -> PerfectTyping:
+        """The Stage 1 step, cached across calls.
+
+        Stage 1 is the pipeline's unbudgeted minimum, so ``budget`` is
+        unused here; it is passed for an override that can cancel.
+        """
         if self._stage1 is None:
             with self._perf.span("pipeline.stage1"):
                 self._stage1 = minimal_perfect_typing(
@@ -242,13 +252,12 @@ class SchemaExtractor:
                 f"expected one of {sorted(table)}"
             ) from None
 
-    def _starting_point(self):
+    def _starting_point(self, stage1: PerfectTyping):
         """Stage 2 inputs: (program, assignment, weights, frozen, roles).
 
         Applies the role decomposition and the a-priori knowledge (in
         that order) on top of the Stage 1 result.
         """
-        stage1 = self.stage1()
         roles: Optional[RoleDecomposition] = None
         if self._use_roles:
             roles = decompose_roles(stage1)
@@ -285,19 +294,26 @@ class SchemaExtractor:
         """Run the Figure 6 sensitivity sweep with this pipeline's knobs."""
         if budget is not None:
             budget.start()
-        stage1 = self.stage1()
-        program, assignment, weights, frozen, _ = self._starting_point()
-        distance = self._resolve_distance(stage1)
-        # sensitivity_sweep recomputes stage2 from the given program.
+        return self._sweep_step(min_k, step, budget)
+
+    def _sweep_step(
+        self, min_k: int, step: int, budget: Optional[Budget]
+    ) -> SensitivityResult:
+        """The sweep step: Stages 2 and 3 at every sampled ``k``, from
+        the same starting point and with the same knobs as ``extract``."""
+        stage1 = self._stage1_step(budget)
+        program, assignment, weights, frozen, _ = self._starting_point(stage1)
         return sensitivity_sweep(
             self._db,
             stage1=_override_program(stage1, program),
             assignment=assignment,
             weights=weights,
-            distance=distance,
+            distance=self._resolve_distance(stage1),
             policy=self._policy,
             allow_empty_type=self._allow_empty,
+            empty_weight=self._empty_weight,
             mode=self._recast_mode,
+            fallback=self._fallback,
             min_k=min_k,
             step=step,
             frozen=frozen,
@@ -357,9 +373,9 @@ class SchemaExtractor:
             )
         if budget is not None:
             budget.start()
-        stage1 = self.stage1()
+        stage1 = self._stage1_step(budget)
         start_program, assignment, weights, frozen, roles = (
-            self._starting_point()
+            self._starting_point(stage1)
         )
         distance = self._resolve_distance(stage1)
         logger.info(
@@ -417,21 +433,7 @@ class SchemaExtractor:
         if k is None:
             try:
                 with self._perf.span("pipeline.sweep"):
-                    sensitivity = sensitivity_sweep(
-                        self._db,
-                        stage1=_override_program(stage1, start_program),
-                        assignment=assignment,
-                        weights=weights,
-                        distance=distance,
-                        policy=self._policy,
-                        allow_empty_type=self._allow_empty,
-                        mode=self._recast_mode,
-                        step=sweep_step,
-                        frozen=frozen,
-                        budget=budget,
-                        perf=self._perf,
-                        use_bitset=self._use_bitset,
-                    )
+                    sensitivity = self._sweep_step(1, sweep_step, budget)
             except ExecutionInterruptedError as exc:
                 # Not even one point sampled: degrade to the perfect
                 # typing, like the post-stage1 case above.

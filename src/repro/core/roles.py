@@ -129,6 +129,7 @@ def decompose_roles(
         if cover is not None:
             covers[rule.name] = cover
             del survivors[rule.name]
+            referenced.update(cover)  # a cover's members must survive
 
     new_program = TypingProgram(survivors.values())
     assignment: Dict[ObjectId, FrozenSet[str]] = {}

@@ -34,6 +34,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -152,6 +153,29 @@ def optimal_range(
     return knee_k, k_hi
 
 
+def sample_grid(
+    num_types: int,
+    min_k: int = 1,
+    max_k: Optional[int] = None,
+    step: int = 1,
+    sample_at: Optional[Iterable[int]] = None,
+    num_frozen: int = 0,
+) -> Set[int]:
+    """The ``k`` values a sweep from ``num_types`` types samples.
+
+    Every ``step``-th ``k`` of ``[min_k, max_k]`` plus both endpoints,
+    or the members of ``sample_at`` inside that range.  ``max_k`` is
+    capped at ``num_types`` and ``min_k`` raised to the number of
+    frozen types.
+    """
+    if max_k is None or max_k > num_types:
+        max_k = num_types
+    min_k = max(1, min_k, num_frozen)
+    if sample_at is not None:
+        return {k for k in sample_at if min_k <= k <= max_k}
+    return set(range(min_k, max_k + 1, step)) | {min_k, max_k}
+
+
 def sensitivity_sweep(
     db: Database,
     stage1: Optional[PerfectTyping] = None,
@@ -160,7 +184,9 @@ def sensitivity_sweep(
     distance: WeightedDistance = delta_2,
     policy: MergePolicy = MergePolicy.ABSORB,
     allow_empty_type: bool = False,
+    empty_weight: Optional[float] = None,
     mode: RecastMode = RecastMode.HOME_GUIDED,
+    fallback: str = "closest",
     min_k: int = 1,
     max_k: Optional[int] = None,
     step: int = 1,
@@ -181,10 +207,11 @@ def sensitivity_sweep(
     assignment, weights:
         Starting home assignment / weights; default to the Stage 1 home
         types (pass the role-decomposed ones to sweep with roles).
-    distance, policy, allow_empty_type:
+    distance, policy, allow_empty_type, empty_weight:
         Stage 2 knobs (see :class:`GreedyMerger`).
-    mode:
-        Recast mode used when measuring the defect at each ``k``.
+    mode, fallback:
+        Stage 3 knobs used when measuring the defect at each ``k`` (see
+        :func:`~repro.core.recast.recast`).
     min_k, max_k:
         Sweep bounds; ``max_k`` defaults to the Stage 1 type count.
         With frozen types, ``min_k`` is clamped to their number.
@@ -227,22 +254,15 @@ def sensitivity_sweep(
         distance=distance,
         policy=policy,
         allow_empty_type=allow_empty_type,
+        empty_weight=empty_weight,
         frozen=frozen,
         perf=perf,
         use_bitset=use_bitset,
     )
-    n = merger.num_types
-    if max_k is None or max_k > n:
-        max_k = n
-    min_k = max(1, min_k, len(frozen or ()))
-
-    if sample_at is not None:
-        sample_ks = {k for k in sample_at if min_k <= k <= max_k}
-    else:
-        sample_ks = set(range(min_k, max_k + 1, step))
-        sample_ks.add(min_k)
-        sample_ks.add(max_k)
-    stop_k = min(sample_ks) if sample_ks else min_k
+    sample_ks = sample_grid(
+        merger.num_types, min_k, max_k, step, sample_at, len(frozen or ())
+    )
+    stop_k = min(sample_ks, default=merger.num_types)
 
     points: List[SensitivityPoint] = []
 
@@ -255,7 +275,7 @@ def sensitivity_sweep(
             home = snapshot.map_assignment(assignment)
             recast_result = recast(
                 snapshot.program, db, home=home, mode=mode,
-                perf=perf, use_bitset=use_bitset,
+                fallback=fallback, perf=perf, use_bitset=use_bitset,
             )
             report = compute_defect(
                 snapshot.program, db, recast_result.assignment

@@ -1,48 +1,47 @@
-"""Multi-process extraction: parallel Stage 1 and parallel sweep.
+"""Multi-process extraction: Stage 1 and the sweep on a worker pool.
 
-:class:`ParallelExtractor` is the drop-in multi-core front end to
-:class:`~repro.core.pipeline.SchemaExtractor`:
+:class:`ParallelExtractor` is a
+:class:`~repro.core.pipeline.SchemaExtractor` that overrides two steps:
 
 * **Stage 1** is sharded along weakly-connected components
-  (:mod:`repro.graph.partition`), each shard typed in a
-  ``ProcessPoolExecutor`` worker, and the shard typings reconciled
-  into one global :class:`~repro.core.perfect.PerfectTyping`
+  (:mod:`repro.graph.partition`), each shard typed in a pool worker,
+  and the shard typings reconciled into one global
+  :class:`~repro.core.perfect.PerfectTyping`
   (:mod:`repro.parallel.merge`) — extent-identical to the sequential
   result, differing only in the ``q_iterations`` diagnostic;
 * **the sensitivity sweep** is split into contiguous blocks of ``k``
   samples, one block per worker, each worker replaying the (fully
-  deterministic) merge sequence down through its block;
-* **Stages 2 and 3 stay sequential and global** — the greedy merge is
-  one inherently serial greedy loop — by handing the merged Stage 1 to a
-  plain :class:`SchemaExtractor` via its ``stage1=`` injection point.
+  deterministic) merge sequence down through its block.
 
-``jobs=1`` never touches a pool: every call delegates straight to the
-sequential extractor, byte-identical by construction.  With ``jobs>1``
-a single-component database falls back to the same sequential path
-(see ``docs/PARALLELISM.md`` for when ``--jobs`` helps vs. hurts).
+Everything else is inherited: Stages 2 and 3 (one inherently serial
+greedy loop), checkpoint/resume and every degradation path.  ``jobs=1``
+runs both steps sequentially and never opens a pool; with ``jobs>1`` a
+single-component database still types Stage 1 in-process (see
+``docs/PARALLELISM.md`` for when ``--jobs`` helps vs. hurts).
 
-With ``jobs>1`` one :class:`~repro.parallel.pool.SharedWorkerPool`
-per public call carries every parallel phase (``parallel.pool_reuses``):
-its workers receive the database and the partition once, through the
-executor's initializer, so a Stage 1 task is a shard index, a
-reconcile task a shard index plus the quotient program, and a sweep
-task the Stage 1 typing plus the block's params.
+With ``jobs>1`` one :class:`~repro.parallel.pool.SharedWorkerPool` per
+public call carries both steps (``parallel.pool_reuses``): its workers
+receive the database and the partition once, through the executor's
+initializer, so a Stage 1 task is a shard index, a reconcile task a
+shard index plus the quotient program, and a sweep task the Stage 1
+typing plus the block's params.  The pool opens at the first pooled
+step and closes when the call returns.
 
 Budgets and cancellation: Stage 1 remains the pipeline's mandatory
-minimum, so workers run it unbudgeted; the parent polls the budget's
-:class:`~repro.runtime.budget.CancellationToken` between future
-completions and shuts the pool down on cancellation.  Sweep workers
-receive the parent's *remaining* allowance as a local budget (best
-effort — each worker may use up to the full remainder) and report the
-units they consumed, which the parent charges back into the real
-budget.  When a parallel phase is interrupted, ``extract`` falls back
-to the sequential pipeline, whose sticky budget degrades it gracefully
-to the usual best-so-far partial result.
+minimum, so workers run it unbudgeted; the coordinator polls the
+budget's :class:`~repro.runtime.budget.CancellationToken` between
+future completions and shuts the pool down on cancellation, after
+which the sequential Stage 1 runs and ``extract`` degrades as usual.
+Sweep workers receive the coordinator's *remaining* allowance as a
+local budget (best effort — each worker may use up to the full
+remainder) and report the units they consumed, which the coordinator
+charges back into the real budget; ``extract`` degrades a truncated
+pooled sweep exactly like a sequential one.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import logging
 import os
 from contextlib import contextmanager
@@ -50,30 +49,23 @@ from typing import FrozenSet, Iterator, List, Optional, Sequence, Union
 
 from repro.core.clustering import MergePolicy
 from repro.core.perfect import PerfectTyping, minimal_perfect_typing
-from repro.core.pipeline import (
-    ExtractionResult,
-    SchemaExtractor,
-    _budget_failure,
-)
-from repro.core.prior import PriorKnowledge
+from repro.core.pipeline import SchemaExtractor
 from repro.core.recast import RecastMode
 from repro.core.sensitivity import (
     SensitivityPoint,
     SensitivityResult,
+    sample_grid,
 )
-from repro.core.distance import WeightedDistance
 from repro.core.typing_program import TypingProgram
 from repro.exceptions import (
     BudgetExceededError,
-    ClusteringError,
     ExecutionInterruptedError,
     ReproError,
 )
 from repro.graph.database import Database, ObjectId
 from repro.graph.partition import Shard, partition_database
 from repro.perf import PerfRecorder, resolve as _resolve_perf
-from repro.runtime.budget import Budget, DegradationReport
-from repro.runtime.checkpoint import Checkpoint
+from repro.runtime.budget import Budget
 from repro.parallel.merge import (
     ReconcileFn,
     merge_shard_typings,
@@ -262,7 +254,9 @@ def parallel_sweep(
     distance_name: str = "delta_2",
     policy: MergePolicy = MergePolicy.ABSORB,
     allow_empty_type: bool = False,
+    empty_weight: Optional[float] = None,
     mode: RecastMode = RecastMode.HOME_GUIDED,
+    fallback: str = "closest",
     min_k: int = 1,
     max_k: Optional[int] = None,
     step: int = 1,
@@ -289,13 +283,7 @@ def parallel_sweep(
     recorder = _resolve_perf(perf)
     if budget is not None:
         budget.start()
-    n = stage1.num_types
-    if max_k is None or max_k > n:
-        max_k = n
-    min_k = max(1, min_k)
-    sample_ks = set(range(min_k, max_k + 1, step))
-    sample_ks.add(min_k)
-    sample_ks.add(max_k)
+    sample_ks = sample_grid(stage1.num_types, min_k, max_k, step)
     blocks = _chunk_blocks(sorted(sample_ks, reverse=True), jobs)
     recorder.incr("parallel.sweep_blocks", len(blocks))
     allowance = budget.child() if budget is not None else None
@@ -303,12 +291,12 @@ def parallel_sweep(
         SweepParams(
             index=index,
             distance_name=distance_name,
-            dimensions=len(stage1.program.typed_links()),
             policy=policy,
             allow_empty_type=allow_empty_type,
+            empty_weight=empty_weight,
             mode=mode,
+            fallback=fallback,
             sample_at=tuple(block),
-            frozen=None,
             timeout=(
                 allowance.timeout if allowance is not None else None
             ),
@@ -339,6 +327,8 @@ def parallel_sweep(
         points.extend(outcome.points)
     exhausted = any(outcome.exhausted for outcome in outcomes)
     if not points:
+        if budget is not None:
+            budget.check()  # sticky: raises the limit the workers hit
         raise BudgetExceededError(
             "parallel sweep sampled no points before the budget ran out",
             reason="iterations",
@@ -353,112 +343,61 @@ def parallel_sweep(
     return SensitivityResult(points=tuple(points), exhausted=exhausted)
 
 
-class ParallelExtractor:
-    """Multi-core drop-in for :class:`SchemaExtractor` (``--jobs N``).
+def _in_pool(method):
+    """``method`` run inside the extractor's pool scope."""
 
-    Accepts the sequential extractor's knobs plus:
+    @functools.wraps(method)
+    def in_pool(self, *args, **kwargs):
+        with self._pool_scope():
+            return method(self, *args, **kwargs)
+
+    return in_pool
+
+
+class ParallelExtractor(SchemaExtractor):
+    """A :class:`SchemaExtractor` whose Stage 1 and sweep run on a pool.
 
     Parameters
     ----------
     jobs:
         Worker-process count, or ``"auto"`` for ``os.cpu_count()``
-        (effective parallelism is further capped by the shard count,
-        although the pool starts all ``jobs`` workers).  ``1``
-        (the default) delegates every call to the sequential extractor
-        unchanged.
+        (effective Stage 1 parallelism is further capped by the shard
+        count, although the pool starts all ``jobs`` workers).  ``1``
+        (the default) runs every step sequentially.
     max_shard_objects:
         Optional cap on complex objects per Stage 1 shard (see
         :func:`repro.graph.partition.partition_database`).
-    stage1:
-        A precomputed Stage 1 typing to inject (same contract as the
-        sequential extractor's ``stage1=``), skipping the parallel
-        Stage 1 entirely.
+    options:
+        Every :class:`SchemaExtractor` knob, ``stage1=`` injection
+        included.
 
-    Restrictions: the parallel *sweep* path needs a named distance and
-    no roles/prior transforms (those reshape the Stage 2 starting
-    point); configurations outside that envelope silently use the
-    sequential sweep while still parallelising Stage 1.  Callable
-    distances and custom local-rule closures must be module-level to
-    cross the process boundary.
+    Only the Stage 1 step and the sweep step are overridden; Stages 2
+    and 3, checkpoint/resume and every degradation path are the
+    inherited ones.  The sweep runs on the pool only with a named
+    distance and neither roles nor a prior (those reshape the Stage 2
+    starting point); otherwise it is the sequential sweep.  Custom
+    local-rule closures must be module-level to cross the process
+    boundary.
     """
 
     def __init__(
         self,
         db: Database,
         jobs: Union[int, str] = 1,
-        distance: Union[str, WeightedDistance] = "delta_2",
-        policy: MergePolicy = MergePolicy.ABSORB,
-        use_roles: bool = False,
-        allow_empty_type: bool = False,
-        empty_weight: Optional[float] = None,
-        recast_mode: RecastMode = RecastMode.HOME_GUIDED,
-        fallback: str = "closest",
-        prior: Optional[PriorKnowledge] = None,
-        local_rule_fn=None,
-        use_bitset: bool = True,
         max_shard_objects: Optional[int] = None,
-        stage1: Optional[PerfectTyping] = None,
-        perf: Optional[PerfRecorder] = None,
+        **options,
     ) -> None:
-        self._db = db
+        super().__init__(db, **options)
         self._jobs = resolve_jobs(jobs)
-        self._distance_spec = distance
-        self._policy = policy
-        self._use_roles = use_roles
-        self._allow_empty = allow_empty_type
-        self._empty_weight = empty_weight
-        self._recast_mode = recast_mode
-        self._fallback = fallback
-        self._prior = prior
-        self._local_rule_fn = local_rule_fn
-        self._use_bitset = use_bitset
         self._max_shard_objects = max_shard_objects
-        self._perf = _resolve_perf(perf)
-        self._stage1: Optional[PerfectTyping] = stage1
         self._shards: Optional[List[Shard]] = None
         self._pool: Optional[SharedWorkerPool] = None
+        self._in_call = False
 
-    # ------------------------------------------------------------------
     @property
     def jobs(self) -> int:
         """The resolved worker count (``"auto"`` already expanded)."""
         return self._jobs
-
-    def _open_pool(self) -> Optional[SharedWorkerPool]:
-        """The persistent pool, or ``None`` when ``jobs`` is 1."""
-        if self._jobs <= 1:
-            return None
-        shards = self.shards()
-        return SharedWorkerPool(
-            jobs=self._jobs,
-            db=self._db,
-            shard_objects=(
-                [shard.objects for shard in shards]
-                if len(shards) > 1 else None
-            ),
-            perf=self._perf if self._perf.enabled else None,
-        )
-
-    @contextmanager
-    def _pool_scope(self) -> Iterator[Optional[SharedWorkerPool]]:
-        """One pool per outermost public call, reused by nested phases.
-
-        ``extract`` opens the pool once and ``stage1``/``sweep`` reuse
-        it; the opener's ``finally`` closes it, which unlinks every
-        shared segment — the normal-exit *and* SIGINT cleanup path
-        (KeyboardInterrupt unwinds through the same ``finally``).
-        """
-        if self._pool is not None:
-            yield self._pool
-            return
-        pool = self._open_pool()
-        self._pool = pool
-        try:
-            yield pool
-        finally:
-            self._pool = None
-            if pool is not None:
-                pool.close()
 
     def shards(self) -> List[Shard]:
         """The Stage 1 partition (cached across calls)."""
@@ -468,233 +407,125 @@ class ParallelExtractor:
             )
         return self._shards
 
+    # ------------------------------------------------------------------
+    # One pool per public call
+    # ------------------------------------------------------------------
+    @contextmanager
+    def _pool_scope(self) -> Iterator[None]:
+        """Close, when the outermost public call returns, the pool a
+        step opened during it.
+
+        Nested public calls (``extract_within_defect`` runs ``sweep``
+        and ``extract``) share the pool.  The ``finally`` joins every
+        worker, on normal exit and on SIGINT alike.
+        """
+        if self._in_call:
+            yield
+            return
+        self._in_call = True
+        try:
+            yield
+        finally:
+            self._in_call = False
+            pool, self._pool = self._pool, None
+            if pool is not None:
+                pool.close()
+
+    def _call_pool(self) -> SharedWorkerPool:
+        """The current call's pool, opened on first use."""
+        if self._pool is None:
+            shards = self.shards()
+            self._pool = SharedWorkerPool(
+                jobs=self._jobs,
+                db=self._db,
+                shard_objects=(
+                    [shard.objects for shard in shards]
+                    if len(shards) > 1 else None
+                ),
+                perf=self._perf,
+            )
+        return self._pool
+
     def stage1(self, budget: Optional[Budget] = None) -> PerfectTyping:
-        """The (parallel) Stage 1 result, cached across calls."""
-        if self._stage1 is None:
-            with self._pool_scope() as pool:
+        """The Stage 1 result (cached across calls)."""
+        with self._pool_scope():
+            return self._stage1_step(budget)
+
+    sweep = _in_pool(SchemaExtractor.sweep)
+    extract = _in_pool(SchemaExtractor.extract)
+    extract_within_defect = _in_pool(SchemaExtractor.extract_within_defect)
+
+    # ------------------------------------------------------------------
+    # The two pooled steps
+    # ------------------------------------------------------------------
+    def _stage1_step(self, budget: Optional[Budget]) -> PerfectTyping:
+        """Stage 1 sharded over the call's pool.
+
+        The coordinator polls the budget's cancellation token; an
+        interruption falls back to the sequential step, after which
+        ``extract`` degrades the usual way.
+        """
+        if self._stage1 is None and self._jobs > 1:
+            try:
                 self._stage1 = parallel_stage1(
                     self._db,
                     jobs=self._jobs,
-                    shards=self.shards() if self._jobs > 1 else None,
+                    shards=self.shards(),
                     local_rule_fn=self._local_rule_fn,
                     budget=budget,
-                    perf=self._perf if self._perf.enabled else None,
-                    pool=pool,
+                    perf=self._perf,
+                    pool=self._call_pool(),
                 )
-        return self._stage1
-
-    def _sequential(self) -> SchemaExtractor:
-        """A sequential extractor sharing this one's state and knobs."""
-        return SchemaExtractor(
-            self._db,
-            distance=self._distance_spec,
-            policy=self._policy,
-            use_roles=self._use_roles,
-            allow_empty_type=self._allow_empty,
-            empty_weight=self._empty_weight,
-            recast_mode=self._recast_mode,
-            fallback=self._fallback,
-            prior=self._prior,
-            local_rule_fn=self._local_rule_fn,
-            stage1=self._stage1,
-            use_bitset=self._use_bitset,
-            perf=self._perf if self._perf.enabled else None,
-        )
-
-    def _can_parallel_sweep(self) -> bool:
-        """Whether the sweep itself may be fanned out (see class doc)."""
-        return (
-            self._jobs > 1
-            and isinstance(self._distance_spec, str)
-            and not self._use_roles
-            and self._prior is None
-        )
-
-    # ------------------------------------------------------------------
-    def sweep(
-        self,
-        min_k: int = 1,
-        step: int = 1,
-        budget: Optional[Budget] = None,
-    ) -> SensitivityResult:
-        """The Figure 6 sweep (parallel when the configuration allows)."""
-        if self._jobs == 1:
-            return self._sequential().sweep(
-                min_k=min_k, step=step, budget=budget
-            )
-        if budget is not None:
-            budget.start()
-        with self._pool_scope() as pool:
-            stage1 = self.stage1(budget)
-            if not self._can_parallel_sweep():
-                return self._sequential().sweep(
-                    min_k=min_k, step=step, budget=budget
-                )
-            try:
-                return parallel_sweep(
-                    self._db,
-                    stage1,
-                    jobs=self._jobs,
-                    distance_name=self._distance_spec,
-                    policy=self._policy,
-                    allow_empty_type=self._allow_empty,
-                    mode=self._recast_mode,
-                    min_k=min_k,
-                    step=step,
-                    budget=budget,
-                    perf=self._perf if self._perf.enabled else None,
-                    use_bitset=self._use_bitset,
-                    pool=pool,
-                )
-            except ExecutionInterruptedError:
-                raise  # same contract as the sequential sweep
-            except Exception as exc:
-                logger.warning(
-                    "parallel sweep worker failed (%s: %s); "
-                    "falling back to sequential sweep",
-                    type(exc).__name__, exc,
-                )
-                self._perf.incr("parallel.pool_fallbacks")
-                return self._sequential().sweep(
-                    min_k=min_k, step=step, budget=budget
-                )
-
-    def extract(
-        self,
-        k: Optional[int] = None,
-        sweep_step: int = 1,
-        budget: Optional[Budget] = None,
-        checkpoint_path: Optional[str] = None,
-        resume_from: Optional[Union[str, Checkpoint]] = None,
-        checkpoint_every: int = 1,
-    ) -> ExtractionResult:
-        """Run the full pipeline, parallelising Stage 1 and the sweep.
-
-        Same contract as :meth:`SchemaExtractor.extract`, including
-        graceful degradation: budget exhaustion and cancellation never
-        raise here — a parallel phase that gets interrupted hands over
-        to the sequential pipeline, whose sticky budget turns the run
-        into the usual best-so-far partial result.
-        """
-        if self._jobs == 1 or (self._stage1 is not None and k is not None):
-            # With Stage 1 injected and k fixed (no sweep) both parallel
-            # phases are moot, so no pool is opened.
-            return self._sequential().extract(
-                k=k,
-                sweep_step=sweep_step,
-                budget=budget,
-                checkpoint_path=checkpoint_path,
-                resume_from=resume_from,
-                checkpoint_every=checkpoint_every,
-            )
-        if budget is not None:
-            budget.start()
-        sensitivity: Optional[SensitivityResult] = None
-        with self._pool_scope() as pool:
-            try:
-                self.stage1(budget)
             except ExecutionInterruptedError as exc:
                 logger.warning(
                     "parallel stage1 interrupted (%s); degrading "
                     "sequentially", exc,
                 )
-            if (
-                k is None
-                and resume_from is None
-                and self._stage1 is not None
-                and self._can_parallel_sweep()
-            ):
-                try:
-                    sensitivity = parallel_sweep(
-                        self._db,
-                        self._stage1,
-                        jobs=self._jobs,
-                        distance_name=self._distance_spec,
-                        policy=self._policy,
-                        allow_empty_type=self._allow_empty,
-                        mode=self._recast_mode,
-                        step=sweep_step,
-                        budget=budget,
-                        perf=self._perf if self._perf.enabled else None,
-                        use_bitset=self._use_bitset,
-                        pool=pool,
-                    )
-                    k = sensitivity.knee()
-                    logger.info("parallel sweep: chose k=%d", k)
-                except ExecutionInterruptedError as exc:
-                    # Nothing sampled; the sequential pipeline will
-                    # degrade to the perfect typing through its own
-                    # budget checks.
-                    logger.warning(
-                        "parallel sweep interrupted (%s); degrading "
-                        "sequentially", exc,
-                    )
-                    sensitivity = None
-                except Exception as exc:
-                    # A worker death is not a degradation: the
-                    # sequential extract below redoes the sweep
-                    # in-process and the result is exactly the jobs=1
-                    # answer.
-                    logger.warning(
-                        "parallel sweep worker failed (%s: %s); "
-                        "falling back to sequential sweep",
-                        type(exc).__name__, exc,
-                    )
-                    self._perf.incr("parallel.pool_fallbacks")
-                    sensitivity = None
-        result = self._sequential().extract(
-            k=k,
-            sweep_step=sweep_step,
-            budget=budget,
-            checkpoint_path=checkpoint_path,
-            resume_from=resume_from,
-            checkpoint_every=checkpoint_every,
-        )
-        if sensitivity is not None and result.sensitivity is None:
-            degradation = result.degradation
-            if sensitivity.exhausted and degradation is None:
-                failure = _budget_failure(budget)
-                degradation = DegradationReport(
-                    stage="sweep",
-                    reason=(
-                        failure.reason if failure is not None else "timeout"
-                    ),
-                    detail=(
-                        str(failure)
-                        if failure is not None
-                        else "parallel sweep was truncated by the budget"
-                    ),
-                    elapsed=budget.elapsed() if budget is not None else 0.0,
-                    iterations=(
-                        budget.iterations if budget is not None else 0
-                    ),
-                    target_k=k,
-                    achieved_k=result.num_types,
-                    best_defect=result.defect.total,
-                    checkpoint_path=checkpoint_path,
-                )
-            result = dataclasses.replace(
-                result, sensitivity=sensitivity, degradation=degradation
-            )
-        return result
+        return super()._stage1_step(budget)
 
-    def extract_within_defect(
-        self,
-        max_defect: int,
-        sweep_step: int = 1,
-        budget: Optional[Budget] = None,
-    ) -> ExtractionResult:
-        """The dual problem (smallest schema under a defect bound),
-        with the sweep parallelised when the configuration allows."""
-        if max_defect < 0:
-            raise ClusteringError("max_defect must be non-negative")
-        with self._pool_scope():
-            sweep = self.sweep(step=sweep_step, budget=budget)
-            eligible = [p.k for p in sweep.points if p.defect <= max_defect]
-            if not eligible:
-                raise ClusteringError(
-                    f"no sampled k meets defect <= {max_defect}; smallest "
-                    f"observed defect is "
-                    f"{min(p.defect for p in sweep.points)}"
-                )
-            return self.extract(k=min(eligible), budget=budget)
+    def _sweep_step(
+        self, min_k: int, step: int, budget: Optional[Budget]
+    ) -> SensitivityResult:
+        """The sweep's sample blocks fanned out over the call's pool.
+
+        An interruption propagates to ``extract``, which degrades it
+        like a sequential sweep's; a worker failure reruns the sweep
+        sequentially.
+        """
+        if (
+            self._jobs == 1
+            or not isinstance(self._distance_spec, str)
+            or self._use_roles
+            or self._prior is not None
+        ):
+            return super()._sweep_step(min_k, step, budget)
+        stage1 = self._stage1_step(budget)
+        self._resolve_distance(stage1)  # an unknown name fails here
+        try:
+            return parallel_sweep(
+                self._db,
+                stage1,
+                jobs=self._jobs,
+                distance_name=self._distance_spec,
+                policy=self._policy,
+                allow_empty_type=self._allow_empty,
+                empty_weight=self._empty_weight,
+                mode=self._recast_mode,
+                fallback=self._fallback,
+                min_k=min_k,
+                step=step,
+                budget=budget,
+                perf=self._perf,
+                use_bitset=self._use_bitset,
+                pool=self._call_pool(),
+            )
+        except ExecutionInterruptedError:
+            raise
+        except Exception as exc:
+            logger.warning(
+                "parallel sweep worker failed (%s: %s); "
+                "falling back to sequential sweep",
+                type(exc).__name__, exc,
+            )
+            self._perf.incr("parallel.pool_fallbacks")
+            return super()._sweep_step(min_k, step, budget)

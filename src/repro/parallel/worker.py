@@ -16,11 +16,9 @@ worker, and the outcome back.
   :class:`SweepParams`.
 * **Distances travel by name** — ``delta_1``/``delta_4`` are closures
   over the hypercube dimension, so a sweep task carries the distance
-  *name* plus the dimension count and the worker resolves it through
-  the per-process :func:`resolve_distance` cache (one
-  :func:`~repro.core.distance.named_distances` build per
-  ``(name, dimensions)``, not per task); callable distances force the
-  sequential path.
+  *name* and the worker looks it up in
+  :func:`~repro.core.distance.named_distances` of its Stage 1's
+  dimension count; callable distances force the sequential sweep.
 * **Budgets travel by remaining allowance** — a
   :class:`~repro.runtime.budget.Budget` holds a ``threading.Event``
   token that cannot cross the process boundary, so sweep tasks carry
@@ -42,7 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.core.clustering import MergePolicy
-from repro.core.distance import WeightedDistance, named_distances
+from repro.core.distance import named_distances
 from repro.core.fixpoint import greatest_fixpoint_restricted
 from repro.core.perfect import PerfectTyping, minimal_perfect_typing
 from repro.core.recast import RecastMode
@@ -53,13 +51,6 @@ from repro.graph.database import Database, ObjectId
 from repro.graph.partition import extract_shard
 from repro.perf import PerfRecorder, resolve as _resolve_perf
 from repro.runtime.budget import Budget
-
-#: Per-worker-process distance cache.  ``delta_1``/``delta_4`` are
-#: closures over the hypercube dimension, so resolving them rebuilds
-#: the whole named-distance family; one worker serving many sweep
-#: blocks must pay that once per ``(name, dimensions)``, not once per
-#: task.
-_DISTANCE_CACHE: Dict[Tuple[str, int], WeightedDistance] = {}
 
 #: ``(database, shard partition)`` of this worker's pool, set by
 #: :func:`pool_initializer`; module-global because pool entry points
@@ -90,16 +81,6 @@ def _pool_shard(index: int) -> FrozenSet[ObjectId]:
     if shard_objects is None:
         raise RuntimeError("the pool was opened without a shard partition")
     return shard_objects[index]
-
-
-def resolve_distance(name: str, dimensions: int) -> WeightedDistance:
-    """The named distance for ``dimensions``, cached per worker process."""
-    key = (name, dimensions)
-    distance = _DISTANCE_CACHE.get(key)
-    if distance is None:
-        distance = named_distances(dimensions)[name]
-        _DISTANCE_CACHE[key] = distance
-    return distance
 
 
 def _maybe_chaos_exit(flag_file: Optional[str]) -> None:
@@ -221,16 +202,16 @@ def run_pooled_reconcile(task: PooledReconcileTask) -> ReconcileOutcome:
 
 @dataclass(frozen=True)
 class SweepParams:
-    """The small per-block knobs of a sweep task."""
+    """A sweep block's knobs: the sequential sweep's, plus its samples."""
 
     index: int
     distance_name: str
-    dimensions: int
     policy: MergePolicy
     allow_empty_type: bool
+    empty_weight: Optional[float]
     mode: RecastMode
+    fallback: str
     sample_at: Tuple[int, ...]
-    frozen: Optional[FrozenSet[str]] = None
     timeout: Optional[float] = None  #: parent's *remaining* seconds.
     max_iterations: Optional[int] = None  #: parent's *remaining* units.
     use_bitset: bool = True
@@ -277,22 +258,20 @@ def run_pooled_sweep(task: PooledSweepTask) -> SweepOutcome:
         budget = Budget(
             timeout=params.timeout, max_iterations=params.max_iterations
         ).start()
+    dimensions = len(stage1.program.typed_links())
     points: Tuple[SensitivityPoint, ...] = ()
     exhausted = False
     try:
         result = sensitivity_sweep(
             _pool_database(),
             stage1=stage1,
-            assignment=stage1.assignment(),
-            weights={name: float(w) for name, w in stage1.weights.items()},
-            distance=resolve_distance(
-                params.distance_name, params.dimensions
-            ),
+            distance=named_distances(dimensions)[params.distance_name],
             policy=params.policy,
             allow_empty_type=params.allow_empty_type,
+            empty_weight=params.empty_weight,
             mode=params.mode,
+            fallback=params.fallback,
             min_k=min(params.sample_at),
-            frozen=params.frozen,
             budget=budget,
             perf=perf,
             sample_at=params.sample_at,

@@ -129,12 +129,35 @@ class TestOptions:
         assert oracle.chosen_k == default.chosen_k
 
 
+#: ``(seed, knobs)`` of the auto-k consistency cases.  The first three
+#: set ``empty_weight`` or ``fallback``, which change the merge or the
+#: recast, so a sweep that dropped them reads a different defect there.
+SWEEP_KNOB_CASES = [
+    (1998, dict(distance="delta_3", allow_empty_type=True, empty_weight=100)),
+    (1998, dict(distance="delta_1", allow_empty_type=True, empty_weight=100)),
+    (3, dict(recast_mode=RecastMode.STRICT, fallback="none")),
+    (1998, dict(distance="delta_2", allow_empty_type=True)),
+    (3, dict(recast_mode=RecastMode.STRICT)),
+    (3, dict(fallback="none")),
+    (7, dict()),
+]
+
+
 class TestSweepApi:
     def test_sweep_matches_extract_defect(self, three_group_db):
         extractor = SchemaExtractor(three_group_db)
         sweep = extractor.sweep()
         result = extractor.extract(k=2)
         assert sweep.point_at(2).defect == result.defect.total
+
+    @pytest.mark.parametrize("seed,knobs", SWEEP_KNOB_CASES)
+    def test_auto_k_point_matches_result(self, seed, knobs):
+        """The sweep point auto-k chose measures the returned result."""
+        result = SchemaExtractor(make_dbg(seed=seed), **knobs).extract(
+            sweep_step=4
+        )
+        chosen = result.sensitivity.point_at(result.chosen_k)
+        assert chosen.defect == result.defect.total
 
 
 class TestDualProblem:

@@ -5,6 +5,7 @@ import pytest
 from repro.core.perfect import minimal_perfect_typing
 from repro.core.roles import decompose_roles, find_cover
 from repro.core.typing_program import make_rule
+from repro.synth.datasets import make_dbg
 
 
 class TestFindCover:
@@ -94,3 +95,16 @@ class TestConservativeness:
         roles = decompose_roles(stage1)
         assert roles.num_removed == 0
         assert all(len(ts) == 1 for ts in roles.assignment.values())
+
+    @pytest.mark.parametrize("seed", [12, 13])
+    def test_cover_members_are_never_removed(self, seed):
+        """A type that joined one cover survives later, smaller covers:
+        on these DBG instances a cover member was once decomposed away,
+        leaving homes that named no rule."""
+        roles = decompose_roles(minimal_perfect_typing(make_dbg(seed=seed)))
+        names = set(roles.program.type_names())
+        assert roles.num_removed > 0
+        for homes in roles.assignment.values():
+            assert homes <= names
+        for cover in roles.covers.values():
+            assert cover <= names

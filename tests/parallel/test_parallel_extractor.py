@@ -8,8 +8,12 @@ sequential :class:`SchemaExtractor`.
 
 import pytest
 
+from repro.core.distance import delta_2
+from repro.core.notation import parse_program
 from repro.core.pipeline import SchemaExtractor
 from repro.core.perfect import minimal_perfect_typing
+from repro.core.prior import PriorKnowledge
+from repro.core.recast import RecastMode
 from repro.exceptions import ClusteringError, ReproError
 from repro.graph.database import Database
 from repro.parallel import (
@@ -84,6 +88,56 @@ def test_jobs2_auto_k_matches_sequential_knee(multi_db):
     assert parallel.sensitivity.points == baseline.sensitivity.points
 
 
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        dict(use_roles=True),
+        dict(
+            prior=PriorKnowledge(
+                program=parse_program("date = ->day^0, ->month^0, ->year^0")
+            )
+        ),
+        dict(distance=delta_2),
+    ],
+    ids=["roles", "prior", "callable-distance"],
+)
+def test_sequential_sweep_branch_matches_sequential(multi_db, knobs):
+    """Roles, a prior or a callable distance keep the sweep in-process
+    while Stage 1 still runs on the pool, and log no fallback."""
+    baseline = SchemaExtractor(multi_db, **knobs).extract(sweep_step=8)
+    perf = PerfRecorder()
+    pooled = ParallelExtractor(multi_db, jobs=2, perf=perf, **knobs).extract(
+        sweep_step=8
+    )
+    assert pooled.program == baseline.program
+    assert pooled.assignment == baseline.assignment
+    assert pooled.chosen_k == baseline.chosen_k
+    assert pooled.sensitivity.points == baseline.sensitivity.points
+    assert perf.counter("parallel.shards") >= 2
+    assert perf.counter("parallel.sweep_blocks") == 0
+
+
+@pytest.mark.parametrize(
+    "seed,knobs",
+    [
+        (1998, dict(distance="delta_3", allow_empty_type=True,
+                    empty_weight=100)),
+        (1998, dict(distance="delta_1", allow_empty_type=True,
+                    empty_weight=100)),
+        (3, dict(recast_mode=RecastMode.STRICT, fallback="none")),
+    ],
+)
+def test_pooled_sweep_honours_stage2_and_stage3_knobs(seed, knobs):
+    """The pooled sweep point auto-k chose measures the returned result."""
+    perf = PerfRecorder()
+    result = ParallelExtractor(
+        make_dbg(seed=seed), jobs=2, perf=perf, **knobs
+    ).extract(sweep_step=4)
+    assert perf.counter("parallel.sweep_blocks") == 2
+    chosen = result.sensitivity.point_at(result.chosen_k)
+    assert chosen.defect == result.defect.total
+
+
 def test_parallel_sweep_equals_sequential(multi_db):
     stage1 = minimal_perfect_typing(multi_db)
     sequential = SchemaExtractor(multi_db, stage1=stage1).sweep(step=5)
@@ -152,6 +206,11 @@ def test_jobs_validation(multi_db):
         ParallelExtractor(multi_db, jobs=0)
     with pytest.raises(ClusteringError):
         ParallelExtractor(multi_db, jobs=2).extract_within_defect(-1)
+    # Rejected before any sweep block reaches a worker (no fallback).
+    with pytest.raises(ClusteringError, match="unknown distance"):
+        ParallelExtractor(
+            make_dbg(seed=11), jobs=2, distance="delta_9"
+        ).sweep()
 
 
 def test_merge_rejects_overlapping_shards(multi_db):
