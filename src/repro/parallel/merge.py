@@ -81,9 +81,9 @@ from repro.core.fixpoint import (
 )
 from repro.core.perfect import (
     PerfectTyping,
+    canonical_typing,
     local_rule,
     minimal_perfect_typing,
-    object_type_name,
 )
 from repro.core.typing_program import TypeRule, TypingProgram
 from repro.exceptions import ClusteringError, ExecutionInterruptedError
@@ -200,14 +200,15 @@ def merge_shard_typings(
         recorder.incr("parallel.reconcile_classes", len(prefixed_rules))
 
         # 3. Group shard classes by global extent — the cross-shard
-        # half of the sequential collapse.
+        # half of the sequential collapse — and name the groups as the
+        # sequential collapse does.
         by_extent: Dict[FrozenSet[ObjectId], List[str]] = {}
         for name in combined.type_names():
             by_extent.setdefault(
                 extents_by_name.get(name, frozenset()), []
             ).append(name)
 
-        groups: List[Tuple[ObjectId, FrozenSet[ObjectId], List[ObjectId]]] = []
+        homes: Dict[FrozenSet[ObjectId], List[ObjectId]] = {}
         seen: set = set()
         for extent, names in by_extent.items():
             members: List[ObjectId] = []
@@ -225,48 +226,14 @@ def merge_shard_typings(
                         "typing; shards must partition the database"
                     )
                 seen.add(member)
-            members.sort()
-            groups.append((members[0], extent, members))
+            homes[extent] = members
 
-        # Canonical names by smallest home object, exactly as the
-        # sequential collapse orders them (leaders are distinct, so
-        # sorting by leader alone is the same order).
-        groups.sort(key=lambda group: group[0])
-        class_of_object: Dict[ObjectId, str] = {}
-        class_extent: Dict[str, FrozenSet[ObjectId]] = {}
-        representative: Dict[str, ObjectId] = {}
-        for index, (leader, extent, members) in enumerate(groups, start=1):
-            name = f"t{index}"
-            class_extent[name] = extent
-            representative[name] = leader
-            for member in members:
-                class_of_object[member] = name
-
-        # 4. Rebuild one representative rule per global class from the
-        # full database, as the sequential collapse does.
-        rename = {
-            object_type_name(obj): class_name
-            for obj, class_name in class_of_object.items()
-        }
-        rules = [
-            build(db, leader).rename_targets(rename).with_name(name)
-            for name, leader in representative.items()
-        ]
-        program = TypingProgram(rules)
-
-        weights: Dict[str, int] = {name: 0 for name in class_extent}
-        for class_name in class_of_object.values():
-            weights[class_name] += 1
-
-    return PerfectTyping(
-        program=program,
-        home_type=class_of_object,
-        extents=class_extent,
-        weights=weights,
-        q_iterations=(
-            sum(t.q_iterations for t in typings) + reconcile_iterations
-        ),
-    )
+        return canonical_typing(
+            db,
+            build,
+            homes,
+            sum(t.q_iterations for t in typings) + reconcile_iterations,
+        )
 
 
 def quotient_reconcile(

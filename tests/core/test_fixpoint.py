@@ -24,12 +24,17 @@ from repro.perf import PerfRecorder
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 #: Runs the GFP on the DBG ``Q_D``, then maintains Stage 1 across a
-#: pinned edit batch, and prints both engines' work counters.
+#: pinned edit batch, then runs Stage 1 on ``make_scaled(1000)``, and
+#: prints the three runs' work counters.  On DBG nearly every
+#: bisimulation class is one object, so Stage 1's representatives are
+#: checked on ``make_scaled``, whose classes are large: representatives
+#: taken in set order there change its ``gfp.*`` counters with the seed.
 _COUNTERS_SCRIPT = textwrap.dedent(
     """
     import json
     import random
 
+    from benchmarks.bench_scalability import make_scaled
     from repro.core.delta import Stage1Maintainer
     from repro.core.fixpoint import greatest_fixpoint
     from repro.core.perfect import build_object_program, minimal_perfect_typing
@@ -45,11 +50,18 @@ _COUNTERS_SCRIPT = textwrap.dedent(
         db.remove_link(edges[0].src, edges[0].dst, edges[0].label)
         db.add_link(edges[1].src, edges[1].dst, "extra_" + edges[1].label)
     maintainer.apply(log, perf=perf)
+    stage1 = PerfRecorder()
+    minimal_perfect_typing(make_scaled(1000), perf=stage1)
     out = {
         name: value
         for name, value in perf.to_dict()["counters"].items()
         if name.startswith(("gfp.", "delta."))
     }
+    out.update(
+        ("stage1 " + name, value)
+        for name, value in stage1.to_dict()["counters"].items()
+        if name.startswith("gfp.")
+    )
     print(json.dumps(out))
     """
 )
@@ -213,15 +225,17 @@ class TestPerfCounters:
 
     def test_work_counters_do_not_depend_on_hash_seed(self):
         """Object ids and type names are strings, so any set-ordered
-        worklist would change its work with ``PYTHONHASHSEED``.  The
-        GFP and the Stage 1 maintainer must report the same counters in
-        two interpreters with different hash seeds."""
+        worklist would change its work with ``PYTHONHASHSEED``, and so
+        would Stage 1 representatives taken in set order.  The GFP, the
+        Stage 1 maintainer and Stage 1 on the quotient must report the
+        same counters in two interpreters with different hash seeds."""
 
         def run(seed):
             env = dict(os.environ)
             env["PYTHONHASHSEED"] = seed
             env["PYTHONPATH"] = os.pathsep.join(
-                [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
+                [str(SRC), str(SRC.parent)]
+                + [p for p in [env.get("PYTHONPATH")] if p]
             )
             proc = subprocess.run(
                 [sys.executable, "-c", _COUNTERS_SCRIPT],
@@ -234,6 +248,7 @@ class TestPerfCounters:
         assert first == second
         assert first["gfp.satisfaction_checks"] > 0
         assert first["delta.satisfaction_checks"] > 0
+        assert first["stage1 gfp.satisfaction_checks"] > 0
 
     def test_null_recorder_default_records_nothing(self, figure2_db, p0_program):
         from repro.perf import NULL_RECORDER

@@ -2,10 +2,11 @@
 
 ``refine_partition`` agrees with a brute-force greatest bisimulation in
 each direction, and its forward+backward blocks match Stage 1: bisimilar
-objects share a home type, and quotienting ``Q_D`` groups the objects
-the same way.
+objects share a home type, quotienting ``Q_D`` groups the objects the
+same way, and Stage 1 on the quotient equals the per-object Stage 1.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,26 +17,39 @@ from repro.core.perfect import (
     minimal_perfect_typing,
     object_type_name,
 )
+from repro.core.sorts import sorted_local_rule
 from repro.graph.database import Database
 from tests.bisim.oracle import greatest_bisimulation
+from tests.core.oracle import per_object_stage1, stage1_fields
 
 labels = st.sampled_from(["a", "b", "c"])
 objects = st.sampled_from([f"o{i}" for i in range(7)])
 
+#: Atomic leaves of five sorts (int, float, string, date, none), so
+#: sorted local pictures can split objects that plain ones merge.
+LEAVES = {
+    "leaf1": 1,
+    "leaf2": 2,
+    "leaf3": 2.5,
+    "leaf4": "x",
+    "leaf5": "2020-01-01",
+    "leaf6": None,
+}
+
 
 @st.composite
 def databases(draw):
+    """Up to seven complex objects with self-loops, isolated objects
+    and edges to atomic leaves of several sorts."""
     db = Database()
-    db.add_atomic("leaf1", 1)
-    db.add_atomic("leaf2", 2)
+    for leaf, value in LEAVES.items():
+        db.add_atomic(leaf, value)
     for _ in range(draw(st.integers(1, 16))):
         src = draw(objects)
-        dst = draw(st.one_of(objects, st.sampled_from(["leaf1", "leaf2"])))
-        if src == dst:
-            continue
+        dst = draw(st.one_of(objects, st.sampled_from(sorted(LEAVES))))
         db.add_link(src, dst, draw(labels))
-    if db.num_complex == 0:
-        db.add_complex("o0")
+    for obj in draw(st.lists(objects, max_size=2)):
+        db.add_complex(obj)
     return db
 
 
@@ -74,8 +88,8 @@ def test_result_is_stable(db):
 def test_bisimilar_objects_share_a_stage1_home(db):
     """Rule bodies are positive conjunctions over incoming and outgoing
     edges, so bisimilar objects lie in the same GFP extents: every block
-    lies inside one Stage 1 home class."""
-    home = minimal_perfect_typing(db).home_type
+    lies inside one home class of the per-object Stage 1."""
+    home = per_object_stage1(db).home_type
     for block in refine_partition(db).blocks:
         assert len({home[obj] for obj in block}) == 1
 
@@ -91,3 +105,15 @@ def test_object_program_quotient_matches_refinement(db):
         groups.setdefault(mapping[object_type_name(obj)], set()).add(obj)
     quotient = Partition(tuple(frozenset(g) for g in groups.values()))
     assert quotient.normalised() == refine_partition(db)
+
+
+@pytest.mark.parametrize("local_rule_fn", [None, sorted_local_rule])
+@given(db=databases())
+@settings(max_examples=150, deadline=None)
+def test_quotient_stage1_matches_per_object_reference(local_rule_fn, db):
+    """Stage 1 on the bisimulation quotient equals the per-object GFP in
+    program, home types, extents and weights, with plain and with
+    sorted local rules."""
+    production = minimal_perfect_typing(db, local_rule_fn=local_rule_fn)
+    reference = per_object_stage1(db, local_rule_fn)
+    assert stage1_fields(production) == stage1_fields(reference)
