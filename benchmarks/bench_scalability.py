@@ -118,7 +118,9 @@ def make_large_multi_component(num_objects: int = 100_000):
     yields ~105k objects in ~200 components with ~31 global types.
     This is the regime the persistent-pool benches gate on: many small
     components, so sharded Stage 1 does strictly less signature-mixing
-    work than the whole-database fixpoint.
+    work than the whole-database per-object fixpoint (production
+    Stage 1 avoids that mixing too, by running on the bisimulation
+    quotient).
     """
     requested = max(num_objects // 2, 500)
     num_components = max(requested // 250, 1)
