@@ -582,8 +582,10 @@ def compare_incremental_refresh_scaled(
     """Incremental Stage 1 vs rebuild where the incremental side wins.
 
     On DBG the differential engine is no faster than a full Stage 1;
-    on ``make_scaled(num_objects)`` the full GFP is quadratic and the
-    differential one is not.  Applies ``batches`` chained batches of
+    on ``make_scaled(num_objects)`` a full Stage 1 grows superlinearly
+    (its GFP, even over one object per bisimulation class, is quadratic
+    in the classes that share a signature) and the differential one
+    follows the batch's ripple.  Applies ``batches`` chained batches of
     ``edits`` edits (alternating link removals and additions drawn by a
     pinned RNG), and after each batch times :meth:`Stage1Maintainer.apply`
     against :func:`minimal_perfect_typing` from scratch.  Gates on equal
