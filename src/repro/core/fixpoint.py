@@ -75,7 +75,6 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     FrozenSet,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -223,21 +222,23 @@ def _signature_upper_bound(
     program: TypingProgram,
     db: Database,
     perf: PerfRecorder,
-    objects: Optional[Iterable[ObjectId]] = None,
+    budget: Optional["Budget"] = None,
 ) -> Dict[str, Set[ObjectId]]:
     """The pre-fixpoint start assignment described in the module doc.
 
-    ``objects`` optionally restricts the candidate pool to a subset of
-    the complex objects (the shard-restricted evaluation of
-    :func:`greatest_fixpoint_restricted`); ``None`` means all of them.
+    ``budget`` is checked (never charged) once per rule, so a tripped
+    limit stops a large program here rather than at the worklist's
+    first step.
     """
     # Group objects by signature so the superset tests run once per
     # distinct signature rather than once per object.
     by_signature: Dict[FrozenSet[_Kind], List[ObjectId]] = {}
-    for obj in db.complex_objects() if objects is None else objects:
+    for obj in db.complex_objects():
         by_signature.setdefault(object_signature(db, obj), []).append(obj)
     bound: Dict[str, Set[ObjectId]] = {}
     for rule in program.rules():
+        if budget is not None:
+            budget.check()
         required = rule_kinds(rule)
         members: Set[ObjectId] = set()
         for signature, objs in by_signature.items():
@@ -269,7 +270,6 @@ def greatest_fixpoint(
     db: Database,
     budget: Optional["Budget"] = None,
     perf: Optional[PerfRecorder] = None,
-    objects: Optional[Iterable[ObjectId]] = None,
 ) -> FixpointResult:
     """Compute the greatest fixpoint of ``program`` on ``db``.
 
@@ -282,7 +282,8 @@ def greatest_fixpoint(
         The database.
     budget:
         Optional :class:`~repro.runtime.budget.Budget` charged one unit
-        per type re-check; a tripped limit unwinds the worklist with
+        per type re-check and checked once per rule while the
+        signature bound is built; a tripped limit unwinds with
         :class:`~repro.exceptions.BudgetExceededError` (the iteration
         is downward-monotone, so there is no meaningful partial GFP —
         callers degrade at a stage boundary instead).
@@ -293,16 +294,12 @@ def greatest_fixpoint(
         (bodies verified), ``gfp.satisfaction_checks`` (per-object
         typed-link evaluations — the work measure the dirty tracking
         and the atomic-link elision reduce) and ``gfp.objects_removed``.
-    objects:
-        Optional restriction of the candidate pool to a subset of the
-        complex objects; see :func:`greatest_fixpoint_restricted` for
-        when the restricted evaluation is exact.
 
     Returns a :class:`FixpointResult` with the GFP extents.
     """
     perf = _resolve_perf(perf)
     with perf.span("gfp.signature_bound"):
-        extents = _signature_upper_bound(program, db, perf, objects)
+        extents = _signature_upper_bound(program, db, perf, budget)
 
     dependents = dependent_links(program)
     # Atomic-target links hold by construction for every member of the
@@ -393,38 +390,6 @@ def greatest_fixpoint(
     )
 
 
-def greatest_fixpoint_restricted(
-    program: TypingProgram,
-    db: Database,
-    objects: Iterable[ObjectId],
-    budget: Optional["Budget"] = None,
-    perf: Optional[PerfRecorder] = None,
-) -> FixpointResult:
-    """GFP of ``program`` with the candidate pool restricted to ``objects``.
-
-    Evaluates link satisfaction against the *full* database adjacency
-    but only ever admits members of ``objects`` into extents.  When
-    ``objects`` is closed under edges between complex objects — a union
-    of weakly-connected components, e.g. one shard of
-    :func:`repro.graph.partition.partition_database` — the result is
-    exactly the restriction of the global GFP:
-
-    * every typed-link witness of a member of ``objects`` lies inside
-      ``objects`` (closure), so the restricted iteration removes an
-      object iff the global iteration does;
-    * hence ``M_S(q) = M(q) ∩ S`` for every type ``q``, and the global
-      extent is the disjoint union of the per-shard restricted extents.
-
-    This is the worker-side entry point of the distributed reconcile
-    (:mod:`repro.parallel.merge`): each shard task computes its own
-    restricted extents and the coordinator unions them, skipping the
-    full-database signature scan entirely.
-    """
-    return greatest_fixpoint(
-        program, db, budget=budget, perf=perf, objects=list(objects)
-    )
-
-
 def bisimulation_quotient(
     program: TypingProgram,
 ) -> Tuple[TypingProgram, Dict[str, str]]:
@@ -457,10 +422,8 @@ def bisimulation_quotient(
       extents never breaks satisfaction — so the pushforward is below
       ``M'``, i.e. ``M(q) ⊆ M'(mapping[q])``.
 
-    Together: equality.  The reconcile pass of the parallel extractor
-    uses this to shrink the broadcast combined program from
-    ``shards × classes`` rules to one rule per structurally distinct
-    class before fanning out per-shard restricted evaluations.
+    Together: equality.  Stage 1 quotients ``Q_D`` with it
+    (:func:`repro.core.perfect.bisimulation_classes`).
     """
     rules = list(program.rules())
     names = [rule.name for rule in rules]

@@ -57,6 +57,12 @@ representative of ``p``'s class lies in the class-level extent of
 ``o``'s class, and a Stage 1 type's extent is the union of the
 members of the classes in its class-level extent.
 
+:func:`minimal_perfect_typing` is the two halves in a row:
+:func:`bisimulation_classes` (steps 1–2) and
+:func:`typing_from_classes` (step 3).  The sharded Stage 1
+(:mod:`repro.parallel.merge`) runs the first half per shard and both
+halves on the disjoint union of the shards' class databases.
+
 The per-object path — :func:`build_object_program`,
 :func:`repro.core.fixpoint.greatest_fixpoint` and
 :func:`collapse_object_fixpoint` — stays as the oracle the test suite
@@ -68,7 +74,7 @@ compares against; the differential maintainer
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.fixpoint import (
     FixpointResult,
@@ -228,12 +234,13 @@ def minimal_perfect_typing(
     """Run Stage 1 on ``db`` and return the :class:`PerfectTyping`.
 
     The GFP runs over one object per bisimulation class (see the
-    module doc).  ``local_rule_fn`` optionally overrides the
-    local-picture builder (used by the Remark 2.1 sorts extension).
-    ``perf`` threads a :class:`repro.perf.PerfRecorder` into the GFP
-    engine, times the stage's phases (spans ``stage1.build_qd``,
-    ``stage1.quotient``, ``stage1.collapse``) and counts the classes
-    (``stage1.bisim_classes``).
+    module doc): :func:`bisimulation_classes` then
+    :func:`typing_from_classes`.  ``local_rule_fn`` optionally
+    overrides the local-picture builder (used by the Remark 2.1 sorts
+    extension).  ``perf`` threads a :class:`repro.perf.PerfRecorder`
+    into the GFP engine, times the stage's phases (spans
+    ``stage1.build_qd``, ``stage1.quotient``, ``stage1.collapse``) and
+    counts the classes (``stage1.bisim_classes``).
 
     Example
     -------
@@ -245,10 +252,30 @@ def minimal_perfect_typing(
     >>> result.num_types
     1
     """
+    quotient, representative, class_db = bisimulation_classes(
+        db, local_rule_fn=local_rule_fn, perf=perf
+    )
+    return typing_from_classes(
+        db, quotient, representative, class_db,
+        local_rule_fn=local_rule_fn, perf=perf,
+    )
+
+
+def bisimulation_classes(
+    db: Database,
+    local_rule_fn=None,
+    perf: Optional[PerfRecorder] = None,
+) -> Tuple[TypingProgram, Dict[ObjectId, ObjectId], Database]:
+    """Steps 1–2 of the module doc: the bisimulation classes of ``db``.
+
+    Returns ``(quotient, representative, class_db)``: the quotient of
+    ``Q_D``, which is ``Q`` of the class database; the map from every
+    complex object to its class's representative (its smallest
+    object); and the class database.
+    """
     perf = _resolve_perf(perf)
-    build = local_rule_fn if local_rule_fn is not None else local_rule
     with perf.span("stage1.build_qd"):
-        q_program = build_object_program(db, local_rule_fn=build)
+        q_program = build_object_program(db, local_rule_fn=local_rule_fn)
     with perf.span("stage1.quotient"):
         quotient, mapping = bisimulation_quotient(q_program)
         representative = {
@@ -257,8 +284,28 @@ def minimal_perfect_typing(
         }
         class_db = _class_database(db, representative)
     perf.incr("stage1.bisim_classes", len(quotient))
-    fixpoint = greatest_fixpoint(quotient, class_db, perf=perf)
+    return quotient, representative, class_db
 
+
+def typing_from_classes(
+    db: Database,
+    quotient: TypingProgram,
+    representative: Mapping[ObjectId, ObjectId],
+    class_db: Database,
+    local_rule_fn=None,
+    perf: Optional[PerfRecorder] = None,
+) -> PerfectTyping:
+    """Step 3 of the module doc: the GFP of ``quotient`` on
+    ``class_db`` and the class-level collapse, lifted to ``db``'s
+    objects through ``representative``.
+
+    ``representative`` must map every complex object of ``db`` to an
+    object of ``class_db`` it is bisimilar to; the Stage 1 types'
+    home sets and extents are keyed by its keys.
+    """
+    perf = _resolve_perf(perf)
+    build = local_rule_fn if local_rule_fn is not None else local_rule
+    fixpoint = greatest_fixpoint(quotient, class_db, perf=perf)
     with perf.span("stage1.collapse"):
         members: Dict[ObjectId, List[ObjectId]] = {}
         for obj, rep in representative.items():
@@ -329,9 +376,8 @@ def canonical_typing(
     *leader*), so reruns on the same data are reproducible; each
     class's rule is the leader's local picture (``build``) with its
     targets renamed to class names, and its weight is its number of
-    home objects.  Shared by the per-object collapse, Stage 1 on the
-    quotient and the shard reconcile
-    (:func:`repro.parallel.merge.merge_shard_typings`).
+    home objects.  Shared by the per-object collapse and Stage 1 on
+    the quotient.
     """
     classes = sorted(
         ((min(objs), objs, extent) for extent, objs in homes.items()),

@@ -7,10 +7,10 @@ Public surface:
   pool (one per public call) and the ``--jobs auto`` resolver;
 * :func:`parallel_stage1` / :func:`parallel_sweep` — the two
   fan-out phases, usable on their own;
-* :func:`merge_shard_typings` / :func:`sharded_stage1` /
-  :func:`restricted_reconcile` — the in-process reconciliation
-  primitives (used by the property tests; ``restricted_reconcile``
-  is the in-process twin of the pooled distributed reconcile).
+* :func:`merge_shard_typings` / :func:`sharded_stage1` — the merge of
+  per-shard bisimulation classes into the sequential Stage 1 result,
+  and the in-process twin of :func:`parallel_stage1` built on it
+  (used by the property tests).
 
 See ``docs/PARALLELISM.md`` for the sharding model and the
 determinism guarantees.
@@ -22,11 +22,7 @@ from repro.parallel.extractor import (
     parallel_sweep,
     resolve_jobs,
 )
-from repro.parallel.merge import (
-    merge_shard_typings,
-    restricted_reconcile,
-    sharded_stage1,
-)
+from repro.parallel.merge import merge_shard_typings, sharded_stage1
 from repro.parallel.pool import SharedWorkerPool
 
 __all__ = [
@@ -36,6 +32,5 @@ __all__ = [
     "parallel_stage1",
     "parallel_sweep",
     "resolve_jobs",
-    "restricted_reconcile",
     "sharded_stage1",
 ]

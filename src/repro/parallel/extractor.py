@@ -4,11 +4,10 @@
 :class:`~repro.core.pipeline.SchemaExtractor` that overrides two steps:
 
 * **Stage 1** is sharded along weakly-connected components
-  (:mod:`repro.graph.partition`), each shard typed in a pool worker,
-  and the shard typings reconciled into one global
-  :class:`~repro.core.perfect.PerfectTyping`
-  (:mod:`repro.parallel.merge`) — extent-identical to the sequential
-  result, differing only in the ``q_iterations`` diagnostic;
+  (:mod:`repro.graph.partition`): each pool worker computes one
+  shard's bisimulation classes, and the coordinator runs Stage 1's
+  GFP and collapse on their union (:mod:`repro.parallel.merge`) —
+  equal to the sequential result in every field;
 * **the sensitivity sweep** is split into contiguous blocks of ``k``
   samples, one block per worker, each worker replaying the (fully
   deterministic) merge sequence down through its block.
@@ -22,10 +21,9 @@ single-component database still types Stage 1 in-process (see
 With ``jobs>1`` one :class:`~repro.parallel.pool.SharedWorkerPool` per
 public call carries both steps (``parallel.pool_reuses``): its workers
 receive the database and the partition once, through the executor's
-initializer, so a Stage 1 task is a shard index, a reconcile task a
-shard index plus the quotient program, and a sweep task the Stage 1
-typing plus the block's params.  The pool opens at the first pooled
-step and closes when the call returns.
+initializer, so a Stage 1 task is a shard index and a sweep task the
+Stage 1 typing plus the block's params.  The pool opens at the first
+pooled step and closes when the call returns.
 
 Budgets and cancellation: Stage 1 remains the pipeline's mandatory
 minimum, so workers run it unbudgeted; the coordinator polls the
@@ -56,7 +54,6 @@ from repro.core.sensitivity import (
     SensitivityResult,
     sample_grid,
 )
-from repro.core.typing_program import TypingProgram
 from repro.exceptions import (
     BudgetExceededError,
     ExecutionInterruptedError,
@@ -66,18 +63,12 @@ from repro.graph.database import Database, ObjectId
 from repro.graph.partition import Shard, partition_database
 from repro.perf import PerfRecorder, resolve as _resolve_perf
 from repro.runtime.budget import Budget
-from repro.parallel.merge import (
-    ReconcileFn,
-    merge_shard_typings,
-    quotient_reconcile,
-)
+from repro.parallel.merge import merge_shard_typings
 from repro.parallel.pool import SharedWorkerPool
 from repro.parallel.worker import (
-    PooledReconcileTask,
     PooledStage1Task,
     PooledSweepTask,
     SweepParams,
-    run_pooled_reconcile,
     run_pooled_stage1,
     run_pooled_sweep,
 )
@@ -88,9 +79,8 @@ logger = logging.getLogger("repro.parallel")
 def resolve_jobs(jobs: Union[int, str]) -> int:
     """Resolve a ``--jobs`` value (an int, or ``"auto"``) to a count.
 
-    ``"auto"`` means ``os.cpu_count()`` — the partitioner then caps
-    effective parallelism by the shard count, although the pool starts
-    all ``jobs`` workers at its first task.
+    ``"auto"`` means ``os.cpu_count()``; the pool never starts more
+    workers than a run has tasks (shards or sweep blocks).
     """
     if jobs == "auto":
         return max(1, os.cpu_count() or 1)
@@ -119,36 +109,6 @@ def _pool_for(
         yield own
 
 
-def _pooled_reconcile(
-    pool: SharedWorkerPool,
-    shard_indexes: Sequence[int],
-    recorder: PerfRecorder,
-) -> ReconcileFn:
-    """The distributed reconcile pass over a live worker pool.
-
-    :func:`~repro.parallel.merge.quotient_reconcile` with one
-    :class:`~repro.parallel.worker.PooledReconcileTask` per shard
-    fanned out to the already-warm workers; each task carries the
-    quotient program and returns its shard's restricted extents.
-    """
-
-    def shard_fixpoints(quotient: TypingProgram, gfp_budget):
-        tasks = [
-            PooledReconcileTask(
-                index=index, program=quotient, record_perf=recorder.enabled
-            )
-            for index in shard_indexes
-        ]
-        with recorder.span("parallel.reconcile_fanout"):
-            outcomes = pool.run(tasks, run_pooled_reconcile, gfp_budget)
-        for outcome in outcomes:
-            if outcome.perf_snapshot is not None:
-                recorder.merge_dict(outcome.perf_snapshot)
-        return [(outcome.extents, outcome.iterations) for outcome in outcomes]
-
-    return quotient_reconcile(shard_fixpoints, recorder)
-
-
 def parallel_stage1(
     db: Database,
     jobs: int,
@@ -159,19 +119,20 @@ def parallel_stage1(
     perf: Optional[PerfRecorder] = None,
     pool: Optional[SharedWorkerPool] = None,
 ) -> PerfectTyping:
-    """Stage 1 across a worker pool; extent-identical to sequential.
+    """Stage 1 across a worker pool; equal to the sequential Stage 1.
 
-    Falls back to the in-process sequential path when the partition
-    degenerates to a single shard (one giant component) or ``jobs``
-    is 1.  Stage 1 is the mandatory minimum, so workers run without a
-    budget; only cancellation is enforced (parent-side).
+    Each worker computes one shard's bisimulation classes and the
+    coordinator runs Stage 1's GFP and collapse on their union
+    (:mod:`repro.parallel.merge`).  Falls back to the in-process
+    sequential path when the partition degenerates to a single shard
+    (one giant component) or ``jobs`` is 1.  Stage 1 is the mandatory
+    minimum, so workers run without a budget; only cancellation is
+    enforced (parent-side).
 
     The shard sub-databases never cross the process boundary: workers
     carve each shard out of the pool's database, and a task is just
-    the shard index.  The reconcile GFP is distributed over the same
-    pool (see :func:`_pooled_reconcile`).  ``pool`` must have been
-    opened over ``shards``; without one the call opens (and closes) a
-    pool of its own.
+    the shard index.  ``pool`` must have been opened over ``shards``;
+    without one the call opens (and closes) a pool of its own.
     """
     recorder = _resolve_perf(perf)
     if shards is None:
@@ -220,17 +181,13 @@ def parallel_stage1(
         for outcome in outcomes:
             if outcome.perf_snapshot is not None:
                 recorder.merge_dict(outcome.perf_snapshot)
-        typings = [outcome.typing for outcome in outcomes]
         logger.info(
-            "parallel stage1: %d shard(s) -> %d shard type(s)",
-            len(shards), sum(t.num_types for t in typings),
+            "parallel stage1: %d shard(s) -> %d shard class(es)",
+            len(shards), sum(o.class_db.num_complex for o in outcomes),
         )
+        classes = [(o.representative, o.class_db) for o in outcomes]
         return merge_shard_typings(
-            db, typings, local_rule_fn=local_rule_fn, budget=budget,
-            perf=perf,
-            reconcile=_pooled_reconcile(
-                pool, [shard.index for shard in shards], recorder
-            ),
+            db, classes, local_rule_fn=local_rule_fn, perf=perf
         )
 
 
@@ -361,9 +318,9 @@ class ParallelExtractor(SchemaExtractor):
     ----------
     jobs:
         Worker-process count, or ``"auto"`` for ``os.cpu_count()``
-        (effective Stage 1 parallelism is further capped by the shard
-        count, although the pool starts all ``jobs`` workers).  ``1``
-        (the default) runs every step sequentially.
+        (the pool starts no more workers than a run has tasks, so
+        Stage 1 forks at most one per shard).  ``1`` (the default)
+        runs every step sequentially.
     max_shard_objects:
         Optional cap on complex objects per Stage 1 shard (see
         :func:`repro.graph.partition.partition_database`).

@@ -1,16 +1,21 @@
 """The worker pool behind ``--jobs N``.
 
 One :class:`SharedWorkerPool` serves one public call (an extraction or
-a sweep) and carries every parallel phase of it: the Stage 1 shards,
-the distributed reconcile and the sweep blocks
-(``parallel.pool_reuses`` counts the reuse).  It is a plain
-``ProcessPoolExecutor`` whose initializer hands every worker the
-database and the shard partition
+a sweep) and carries every parallel phase of it: the Stage 1 shards
+and the sweep blocks (``parallel.pool_reuses`` counts the reuse).  It
+is a plain ``ProcessPoolExecutor`` whose initializer hands every
+worker the database and the shard partition
 (:func:`~repro.parallel.worker.pool_initializer`): under Linux's
 default ``fork`` start method the workers inherit both, under
 ``spawn`` they are pickled once per worker.  Tasks carry only what
 differs between them (see :mod:`repro.parallel.worker`);
 ``parallel.task_bytes`` records how much.
+
+A run starts no more workers than it has tasks: ``jobs`` caps the
+count, and a fork-context executor starts all of its workers at the
+first submit, so the executor is sized to the run.  A later run with
+more tasks (the sweep's blocks after a two-shard Stage 1) replaces it
+with a larger one.
 
 Worker death is survivable: when the executor breaks
 (``BrokenProcessPool``), results already returned are kept, the
@@ -58,7 +63,8 @@ class SharedWorkerPool:
     Parameters
     ----------
     jobs:
-        Worker-process count (the executor's ``max_workers``).
+        The most worker processes a run may use; a run starts no more
+        than it has tasks.
     db:
         The database every task operates on; handed to each worker
         once, through the executor's initializer.
@@ -83,6 +89,7 @@ class SharedWorkerPool:
         self._perf = _resolve_perf(perf)
         self._max_respawns = max_respawns
         self._executor: Optional[ProcessPoolExecutor] = None
+        self._workers = 0
         self._runs = 0
         self._closed = False
 
@@ -92,15 +99,21 @@ class SharedWorkerPool:
         return self._jobs
 
     # ------------------------------------------------------------------
-    def _ensure_executor(self) -> ProcessPoolExecutor:
+    def _ensure_executor(self, tasks: int) -> ProcessPoolExecutor:
+        """An executor of ``min(jobs, tasks)`` workers or more; a
+        smaller idle one is joined and replaced (see the module doc)."""
         if self._closed:
             raise RuntimeError("pool is closed")
+        workers = min(self._jobs, tasks)
+        if self._executor is not None and self._workers < workers:
+            self._discard_executor(wait=True)
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
-                max_workers=self._jobs,
+                max_workers=workers,
                 initializer=pool_initializer,
                 initargs=self._initargs,
             )
+            self._workers = workers
         return self._executor
 
     def _discard_executor(self, wait: bool = False) -> None:
@@ -139,7 +152,7 @@ class SharedWorkerPool:
         remaining = list(range(len(tasks)))
         respawns = 0
         while remaining:
-            executor = self._ensure_executor()
+            executor = self._ensure_executor(len(remaining))
             broken: Optional[BaseException] = None
             future_index = {}
             try:

@@ -11,9 +11,9 @@ worker, and the outcome back.
   from the coordinator's memory; under ``spawn`` they are pickled once
   per worker, never per task.
 * **A task carries only what differs between tasks**: a Stage 1 task
-  its shard index; a reconcile task its shard index plus the quotient
-  program; a sweep task the Stage 1 typing plus its
-  :class:`SweepParams`.
+  its shard index, and it returns the shard's bisimulation classes
+  (:func:`repro.parallel.merge.shard_classes`); a sweep task the
+  Stage 1 typing plus its :class:`SweepParams`.
 * **Distances travel by name** — ``delta_1``/``delta_4`` are closures
   over the hypercube dimension, so a sweep task carries the distance
   *name* and the worker looks it up in
@@ -23,9 +23,9 @@ worker, and the outcome back.
   :class:`~repro.runtime.budget.Budget` holds a ``threading.Event``
   token that cannot cross the process boundary, so sweep tasks carry
   the parent's remaining timeout/iterations and rebuild a local budget
-  (Stage 1 and reconcile tasks carry none: Stage 1 is the pipeline's
-  mandatory minimum).  Cancellation is enforced parent-side by
-  shutting the pool down.
+  (Stage 1 tasks carry none: Stage 1 is the pipeline's mandatory
+  minimum).  Cancellation is enforced parent-side by shutting the pool
+  down.
 
 Each worker runs its own :class:`~repro.perf.PerfRecorder` and ships
 the ``to_dict`` snapshot home; the parent folds the snapshots in with
@@ -41,15 +41,13 @@ from typing import Any, Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.core.clustering import MergePolicy
 from repro.core.distance import named_distances
-from repro.core.fixpoint import greatest_fixpoint_restricted
-from repro.core.perfect import PerfectTyping, minimal_perfect_typing
+from repro.core.perfect import PerfectTyping
 from repro.core.recast import RecastMode
 from repro.core.sensitivity import SensitivityPoint, sensitivity_sweep
-from repro.core.typing_program import TypingProgram
 from repro.exceptions import BudgetExceededError
 from repro.graph.database import Database, ObjectId
-from repro.graph.partition import extract_shard
-from repro.perf import PerfRecorder, resolve as _resolve_perf
+from repro.parallel.merge import shard_classes
+from repro.perf import PerfRecorder
 from repro.runtime.budget import Budget
 
 #: ``(database, shard partition)`` of this worker's pool, set by
@@ -117,80 +115,26 @@ class PooledStage1Task:
 
 @dataclass(frozen=True)
 class Stage1Outcome:
-    """A shard typing plus the worker's perf snapshot."""
+    """A shard's bisimulation classes plus the worker's perf snapshot."""
 
     index: int
-    typing: PerfectTyping
+    representative: Dict[ObjectId, ObjectId]
+    class_db: Database
     perf_snapshot: Optional[Dict[str, Any]] = None
 
 
 def run_pooled_stage1(task: PooledStage1Task) -> Stage1Outcome:
-    """Worker body: the minimal perfect typing of one shard.
-
-    The typing runs inside a ``parallel.shard_stage1`` span so that,
-    after the parent merges the worker snapshots, shard work remains
-    attributable separately from the coordinator's
-    ``parallel.reconcile`` span.
-    """
+    """Worker body: the bisimulation classes of one shard
+    (:func:`repro.parallel.merge.shard_classes`)."""
     _maybe_chaos_exit(task.chaos_kill_file)
-    shard_db = extract_shard(_pool_database(), _pool_shard(task.index))
     perf = PerfRecorder() if task.record_perf else None
-    with _resolve_perf(perf).span("parallel.shard_stage1"):
-        typing = minimal_perfect_typing(
-            shard_db, local_rule_fn=task.local_rule_fn, perf=perf
-        )
+    representative, class_db = shard_classes(
+        _pool_database(), _pool_shard(task.index), task.local_rule_fn, perf
+    )
     return Stage1Outcome(
         index=task.index,
-        typing=typing,
-        perf_snapshot=perf.to_dict() if perf is not None else None,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Distributed reconcile
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PooledReconcileTask:
-    """Reconcile work order: a shard index plus the quotient program."""
-
-    index: int
-    program: TypingProgram
-    record_perf: bool = False
-    chaos_kill_file: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class ReconcileOutcome:
-    """One shard's restricted extents of the reconcile program."""
-
-    index: int
-    extents: Dict[str, FrozenSet[ObjectId]]
-    iterations: int
-    perf_snapshot: Optional[Dict[str, Any]] = None
-
-
-def run_pooled_reconcile(task: PooledReconcileTask) -> ReconcileOutcome:
-    """Worker body: the shard-restricted extents of the program.
-
-    Evaluates
-    :func:`~repro.core.fixpoint.greatest_fixpoint_restricted` of the
-    (already quotiented) combined program over this shard's complex
-    objects against the pool's database — exact because shards are
-    edge-closed unions of components.
-    """
-    _maybe_chaos_exit(task.chaos_kill_file)
-    db = _pool_database()
-    members = [obj for obj in _pool_shard(task.index) if db.is_complex(obj)]
-    perf = PerfRecorder() if task.record_perf else None
-    fixpoint = greatest_fixpoint_restricted(
-        task.program, db, members, perf=perf
-    )
-    return ReconcileOutcome(
-        index=task.index,
-        extents=fixpoint.extents,
-        iterations=fixpoint.iterations,
+        representative=representative,
+        class_db=class_db,
         perf_snapshot=perf.to_dict() if perf is not None else None,
     )
 

@@ -4,7 +4,7 @@
 snapshot the JSON ``/status`` serves — session epoch/staleness, queue
 depth and high-water, breaker state, request counters — plus the
 process :class:`~repro.perf.PerfRecorder`'s counters and cumulative
-span times (the ``parallel.*`` pool/reconcile family included), as
+span times (the ``parallel.*`` pool family included), as
 `text exposition format 0.0.4
 <https://prometheus.io/docs/instrumenting/exposition_formats/>`_.
 
@@ -81,8 +81,8 @@ def render_prometheus(
     ``status`` is exactly what :meth:`SchemaService._status` builds;
     ``perf`` (when recording) contributes ``repro_perf_counter`` /
     ``repro_perf_seconds`` series keyed by the recorder's dotted names,
-    so the pool/reconcile counters are scrapeable without a schema
-    change here.
+    so the pool counters are scrapeable without a schema change
+    here.
     """
     lines = _Lines()
 
@@ -177,7 +177,7 @@ def render_prometheus(
         timers = snapshot.get("timers") or {}
         lines.family(
             "repro_perf_counter", "counter",
-            "PerfRecorder counters (pool, reconcile, kernels...).",
+            "PerfRecorder counters (pool, Stage 1, kernels...).",
         )
         for name in sorted(counters):
             lines.sample(

@@ -1,8 +1,8 @@
 """Shared fixtures: the paper's worked examples as databases.
 
 Also the strict-fallback guard: every ``repro.parallel`` degradation
-(pool unavailable, worker respawn, Stage 1 / sweep / reconcile
-fallback, an interrupted parallel phase) logs a WARNING on a
+(pool unavailable, worker respawn, Stage 1 / sweep fallback, an
+interrupted parallel phase) logs a WARNING on a
 ``repro.parallel*`` logger, and an unexpected one fails the test
 instead of healing silently.  Tests that provoke one on purpose carry
 the ``expect_fallback`` marker.

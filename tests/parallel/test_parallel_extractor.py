@@ -22,6 +22,7 @@ from repro.parallel import (
     parallel_stage1,
     parallel_sweep,
 )
+from repro.parallel.merge import shard_classes
 from repro.parallel.pool import SharedWorkerPool
 from repro.perf import PerfRecorder
 from repro.runtime.budget import Budget, CancellationToken
@@ -48,18 +49,10 @@ def multi_db():
     return _union([make_dbg(seed=s) for s in (11, 12, 13)])
 
 
-def _assert_same_typing(left, right):
-    """Equal in every field except the q_iterations diagnostic."""
-    assert left.program == right.program
-    assert left.home_type == right.home_type
-    assert left.extents == right.extents
-    assert left.weights == right.weights
-
-
 def test_parallel_stage1_matches_sequential(multi_db):
     sequential = minimal_perfect_typing(multi_db)
     parallel = parallel_stage1(multi_db, jobs=2)
-    _assert_same_typing(parallel, sequential)
+    assert parallel == sequential  # q_iterations included
 
 
 def test_jobs1_extract_is_identical(multi_db):
@@ -214,10 +207,10 @@ def test_jobs_validation(multi_db):
 
 
 def test_merge_rejects_overlapping_shards(multi_db):
-    typing = minimal_perfect_typing(make_dbg(seed=11))
     db = make_dbg(seed=11)
+    classes = shard_classes(db, db.objects())
     with pytest.raises(ClusteringError):
-        merge_shard_typings(db, [typing, typing])
+        merge_shard_typings(db, [classes, classes])
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +241,7 @@ def test_stage1_heals_worker_crash(multi_db, monkeypatch):
     monkeypatch.setattr(SharedWorkerPool, "run", _broken_run)
     perf = PerfRecorder()
     healed = parallel_stage1(multi_db, jobs=2, perf=perf)
-    _assert_same_typing(healed, minimal_perfect_typing(multi_db))
+    assert healed == minimal_perfect_typing(multi_db)
     assert perf.counter("parallel.pool_fallbacks") == 1
 
 

@@ -1,10 +1,10 @@
-"""Tests for the distributed reconcile and the ``jobs=2`` service session.
+"""Tests for the shard merge and the ``jobs=2`` service session.
 
-The distributed reconcile must be *extent-identical* to both oracles
-(the sequential ``minimal_perfect_typing`` and the full-database-GFP
-reconcile) and its failure paths must degrade rather than break; a
-``jobs=2`` service session must refresh to the from-scratch answer
-without leaving a worker process or a ``/dev/shm`` segment behind.
+Merging the shards' bisimulation classes must give the sequential
+``minimal_perfect_typing`` in every field and reject shard maps that
+do not cover the database exactly once; a ``jobs=2`` Stage 1 and a
+``jobs=2`` service session must leave no worker process or
+``/dev/shm`` segment behind.
 """
 
 import multiprocessing
@@ -17,15 +17,12 @@ from repro.core.perfect import minimal_perfect_typing
 from repro.exceptions import ClusteringError
 from repro.graph.database import Database
 from repro.graph.partition import partition_database
-from repro.parallel import (
-    ParallelExtractor,
-    merge_shard_typings,
-    restricted_reconcile,
-    sharded_stage1,
-)
+from repro.parallel import ParallelExtractor, merge_shard_typings
+from repro.parallel.merge import shard_classes
 from repro.parallel.shm import leaked_system_segments
 from repro.perf import PerfRecorder
 from repro.synth.datasets import make_dbg
+from tests.core.oracle import per_object_stage1, stage1_fields
 
 
 def _union(dbs):
@@ -44,8 +41,8 @@ def _union(dbs):
 
 @pytest.fixture(scope="module")
 def multi_db():
-    # Repeated seeds on purpose: duplicated components make the
-    # bisimulation quotient strictly smaller than the combined program.
+    # Repeated seeds on purpose: copies of one component in different
+    # shards have classes the merge must unite.
     return _union([make_dbg(seed=s) for s in (21, 22, 23, 21)])
 
 
@@ -75,8 +72,7 @@ class TestBisimulationQuotient:
 
     def test_bisimilar_rules_collapse(self):
         # Structurally identical rules under different names — the
-        # shape a shard-prefixed combined program produces when the
-        # same component appears in two shards.
+        # shape Q_D takes when the same component appears twice.
         from repro.core.typing_program import (
             ATOMIC,
             Direction,
@@ -114,125 +110,41 @@ class TestBisimulationQuotient:
         assert mapping == {}
 
 
-def _full_gfp_reconcile(db, num_shards, perf=None):
-    """The full-database-GFP oracle: merge without ``reconcile=``."""
-    return merge_shard_typings(
-        db,
-        [
-            minimal_perfect_typing(_extract(db, shard.objects))
-            for shard in partition_database(db, num_shards)
-        ],
-        perf=perf,
-    )
-
-
-class TestRestrictedReconcile:
-    def test_matches_both_oracles(self, multi_db, sequential):
-        with_reconcile = sharded_stage1(multi_db, 4)
-        full_gfp = _full_gfp_reconcile(multi_db, 4)
-        assert with_reconcile.extents == full_gfp.extents
-        assert with_reconcile.extents == sequential.extents
-        assert with_reconcile.home_type == sequential.home_type
-
-    def test_counters(self, multi_db):
-        perf = PerfRecorder()
-        sharded_stage1(multi_db, 4, perf=perf)
-        snapshot = perf.to_dict()["counters"]
-        assert snapshot["parallel.reconcile_tasks"] == 4
-        assert snapshot["parallel.reconcile_quotient_rules"] > 0
-        assert snapshot["parallel.reconcile_members"] > 0
-        assert "parallel.reconcile_fallbacks" not in snapshot
-        assert "parallel.shard_stage1" in perf.to_dict()["timers"]
-
-    @pytest.mark.expect_fallback
-    def test_failing_reconcile_falls_back(self, multi_db, sequential):
-        shards = partition_database(multi_db, 4)
-        typings = [
-            minimal_perfect_typing(
-                _extract(multi_db, shard.objects)
-            )
-            for shard in shards
-        ]
-        perf = PerfRecorder()
-
-        def broken(combined, budget):
-            raise RuntimeError("injected reconcile fault")
-
-        merged = merge_shard_typings(
-            multi_db, typings, perf=perf, reconcile=broken
-        )
-        assert merged.extents == sequential.extents
-        assert perf.to_dict()["counters"][
-            "parallel.reconcile_fallbacks"
-        ] == 1
-
-
-def _extract(db, objects):
-    from repro.graph.partition import extract_shard
-
-    return extract_shard(db, objects)
+def _shard_classes(db, num_shards):
+    return [
+        shard_classes(db, shard.objects)
+        for shard in partition_database(db, num_shards)
+    ]
 
 
 class TestMergeErrorPaths:
     def test_duplicate_object_across_shards(self, multi_db):
-        shards = partition_database(multi_db, 2)
-        shard_db = _extract(multi_db, shards[0].objects)
-        typing = minimal_perfect_typing(shard_db)
-        with pytest.raises(ClusteringError, match="more than one shard"):
-            merge_shard_typings(multi_db, [typing, typing])
+        classes = _shard_classes(multi_db, 2)
+        with pytest.raises(ClusteringError, match="exactly once"):
+            merge_shard_typings(multi_db, [classes[0]] + classes)
 
     def test_uncovered_class_is_rejected(self, multi_db):
-        import dataclasses
-
-        from repro.core.typing_program import (
-            ATOMIC,
-            Direction,
-            TypedLink,
-            TypeRule,
-            TypingProgram,
-        )
-
-        shards = partition_database(multi_db, 2)
-        typings = [
-            minimal_perfect_typing(_extract(multi_db, shard.objects))
-            for shard in shards
-        ]
-        # Corrupt one shard typing with a class no object can satisfy
-        # (and no object calls home): its global extent is empty and
-        # unique, so the extent grouping must flag it as uncovered.
-        victim = typings[0]
-        ghost = TypeRule(
-            "zzz_ghost",
-            frozenset({TypedLink(Direction.OUT, "__no_such_label__", ATOMIC)}),
-        )
-        corrupted = TypingProgram(
-            list(victim.program.rules()) + [ghost], check=False
-        )
-        typings[0] = dataclasses.replace(victim, program=corrupted)
-        with pytest.raises(ClusteringError, match="do not cover"):
-            merge_shard_typings(multi_db, typings)
+        # A shard's classes left out: its objects have no class.
+        classes = _shard_classes(multi_db, 2)
+        with pytest.raises(ClusteringError, match="exactly once"):
+            merge_shard_typings(multi_db, classes[1:])
 
 
 class TestPooledReconcile:
     def test_extractor_matches_oracles(self, multi_db, sequential):
+        """The pooled Stage 1 is the sequential one, ``q_iterations``
+        included, and agrees with the per-object reference; no worker
+        or segment outlives it."""
         perf = PerfRecorder()
         pooled = ParallelExtractor(multi_db, jobs=2, perf=perf).stage1()
-        assert pooled.extents == sequential.extents
-        counters = perf.to_dict()["counters"]
-        assert counters["parallel.reconcile_tasks"] >= 2
-        assert "parallel.reconcile_fanout" in perf.to_dict()["timers"]
+        assert pooled == sequential
+        assert stage1_fields(pooled) == stage1_fields(
+            per_object_stage1(multi_db)
+        )
+        timers = perf.to_dict()["timers"]
+        assert "parallel.shard_stage1" in timers
+        assert "parallel.reconcile" in timers
         assert _leaks() == ([], [])
-
-    def test_no_parallel_reconcile_oracle(self, multi_db, sequential):
-        """The pooled Stage 1 agrees with the full-database-GFP
-        reconcile, which runs no reconcile task."""
-        pooled = ParallelExtractor(multi_db, jobs=2).stage1()
-        perf = PerfRecorder()
-        oracle = _full_gfp_reconcile(multi_db, 2, perf=perf)
-        assert oracle.extents == sequential.extents
-        assert pooled.extents == oracle.extents
-        assert pooled.home_type == oracle.home_type
-        assert "parallel.reconcile_tasks" not in perf.to_dict()["counters"]
 
 
 class TestServiceSessionJobs:

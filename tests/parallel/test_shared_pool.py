@@ -81,6 +81,22 @@ class TestPooledEquivalence:
         assert shm.leaked_system_segments(os.getpid()) == []
 
 
+def _worker_pid(_task):
+    return os.getpid()
+
+
+class TestWorkerCap:
+    def test_a_run_starts_no_more_workers_than_tasks(self, multi_db):
+        """One task forks one worker, whatever ``jobs`` says; a later
+        run with more tasks still gets up to ``jobs`` workers."""
+        with SharedWorkerPool(jobs=4, db=multi_db) as pool:
+            pool.run([0], _worker_pid)
+            assert len(multiprocessing.active_children()) == 1
+            pool.run(list(range(3)), _worker_pid)
+            assert len(multiprocessing.active_children()) == 3
+        assert multiprocessing.active_children() == []
+
+
 def _kill_one_worker(tmp_path):
     """Arm the worker-death hook: the first task to unlink it dies."""
     flag = tmp_path / "kill-one-worker"
@@ -116,10 +132,9 @@ class TestWorkerDeath:
         from repro.parallel import merge_shard_typings
 
         merged = merge_shard_typings(
-            multi_db, [o.typing for o in outcomes]
+            multi_db, [(o.representative, o.class_db) for o in outcomes]
         )
-        oracle = minimal_perfect_typing(multi_db)
-        assert merged.extents == oracle.extents
+        assert merged == minimal_perfect_typing(multi_db)
 
     def test_killed_worker_leaks_no_segments(self, multi_db, tmp_path):
         shards = partition_database(multi_db, 2)

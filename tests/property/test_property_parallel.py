@@ -1,23 +1,31 @@
 """Property-based tests for sharded Stage 1 (repro.parallel.merge).
 
 The central invariant of the parallel extractor: on any database, the
-shard-and-reconcile Stage 1 equals the sequential
-``minimal_perfect_typing`` (same program, homes, extents and weights;
-only the ``q_iterations`` diagnostic may differ).  The strategy
-generates genuinely multi-component graphs — the regime where sharding
-actually splits work — including multi-root components, components
-that collapse to identical types across shards (the case the
-class-level reconcile GFP exists for), and disconnected atomic
-objects.
+sharded Stage 1 — per-shard bisimulation classes merged and typed by
+the production Stage 1 — *is* the sequential ``minimal_perfect_typing``,
+every field of it, ``q_iterations`` included, under both rule
+builders.  The strategies generate genuinely multi-component graphs —
+the regime where sharding actually splits work — including
+multi-root components, copies of one component that land in
+different shards (whose classes the merge must unite), disconnected
+atomic objects, and disjoint unions of the bisimulation suite's
+graphs, with atomics of five sorts, self-loops and isolated objects.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.perfect import minimal_perfect_typing, verify_perfect
+from repro.core.perfect import (
+    local_rule,
+    minimal_perfect_typing,
+    verify_perfect,
+)
+from repro.core.sorts import sorted_local_rule
 from repro.graph.database import Database
 from repro.graph.partition import extract_shard, partition_database
-from repro.parallel.merge import merge_shard_typings, sharded_stage1
+from repro.parallel.merge import sharded_stage1
+from tests.property.test_property_bisim import databases as small_databases
 
 labels = st.sampled_from(["a", "b", "c"])
 
@@ -67,54 +75,53 @@ def multi_component_databases(draw):
     return db
 
 
-def _assert_same_typing(left, right):
-    assert left.program == right.program
-    assert left.home_type == right.home_type
-    assert left.extents == right.extents
-    assert left.weights == right.weights
+def _disjoint_union(parts):
+    """The parts side by side, every object id prefixed per part."""
+    db = Database()
+    for index, part in enumerate(parts):
+        prefix = f"p{index}_"
+        for obj, value in part.atomic_items():
+            db.add_atomic(prefix + obj, value)
+        for obj in part.complex_objects():
+            db.add_complex(prefix + obj)
+        for edge in part.edges():
+            db.add_link(prefix + edge.src, prefix + edge.dst, edge.label)
+    return db
+
+
+@st.composite
+def unions_of_small_databases(draw):
+    parts = draw(st.lists(small_databases(), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        parts.append(parts[0])  # a copy, possibly in another shard
+    return _disjoint_union(parts)
+
+
+@pytest.mark.parametrize("build", [local_rule, sorted_local_rule])
+@given(
+    st.one_of(multi_component_databases(), unions_of_small_databases()),
+    st.integers(2, 4),
+)
+@settings(max_examples=80, deadline=None)
+def test_sharded_stage1_is_minimal_perfect_typing(build, db, num_shards):
+    assert sharded_stage1(
+        db, num_shards, local_rule_fn=build
+    ) == minimal_perfect_typing(db, local_rule_fn=build)
 
 
 @given(multi_component_databases(), st.integers(2, 4))
 @settings(max_examples=60, deadline=None)
 def test_sharded_stage1_equals_sequential(db, num_shards):
-    sequential = minimal_perfect_typing(db)
     sharded = sharded_stage1(db, num_shards)
-    _assert_same_typing(sharded, sequential)
+    assert sharded == minimal_perfect_typing(db)
     assert verify_perfect(sharded, db)
 
 
 @given(multi_component_databases(), st.integers(2, 4), st.integers(1, 6))
 @settings(max_examples=40, deadline=None)
 def test_sharded_stage1_respects_max_objects(db, num_shards, cap):
-    sequential = minimal_perfect_typing(db)
     sharded = sharded_stage1(db, num_shards, max_objects=cap)
-    _assert_same_typing(sharded, sequential)
-
-
-@given(multi_component_databases(), st.integers(2, 4))
-@settings(max_examples=60, deadline=None)
-def test_reconcile_modes_agree_three_ways(db, num_shards):
-    """Sequential == full-db-GFP reconcile == restricted reconcile.
-
-    The exactness claim for the distributed reconcile: the quotient +
-    per-shard restricted GFP pass (``sharded_stage1``, the in-process
-    twin of the pooled path) must produce the same typing as both the
-    full-database GFP reconcile (``merge_shard_typings`` without
-    ``reconcile=``) and the sequential Stage 1 on any generated
-    multi-component database.
-    """
-    sequential = minimal_perfect_typing(db)
-    full_gfp = merge_shard_typings(
-        db,
-        [
-            minimal_perfect_typing(extract_shard(db, shard.objects))
-            for shard in partition_database(db, num_shards)
-        ],
-    )
-    restricted = sharded_stage1(db, num_shards)
-    _assert_same_typing(full_gfp, sequential)
-    _assert_same_typing(restricted, sequential)
-    assert verify_perfect(restricted, db)
+    assert sharded == minimal_perfect_typing(db)
 
 
 @given(multi_component_databases(), st.integers(1, 4))

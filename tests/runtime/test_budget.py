@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.clustering import GreedyMerger
 from repro.core.fixpoint import greatest_fixpoint
-from repro.core.perfect import minimal_perfect_typing
+from repro.core.perfect import build_object_program, minimal_perfect_typing
 from repro.core.sensitivity import sensitivity_sweep
 from repro.exceptions import (
     BudgetExceededError,
@@ -14,6 +14,7 @@ from repro.exceptions import (
     ExtractionCancelledError,
 )
 from repro.runtime.budget import Budget, CancellationToken
+from repro.synth.datasets import make_dbg
 
 
 class FakeClock:
@@ -186,6 +187,23 @@ class TestBudgetedLoops:
             greatest_fixpoint(p0_program, figure2_db, budget=budget)
         # Unbudgeted evaluation of the same input succeeds.
         assert greatest_fixpoint(p0_program, figure2_db).assignment
+
+    def test_fixpoint_checks_budget_while_building_the_bound(self):
+        """A cancelled or expired budget stops the GFP of a many-rule
+        program inside its signature bound, before the worklist
+        charges its first step; the check charges nothing."""
+        db = make_dbg(seed=1998)
+        program = build_object_program(db)
+        token = CancellationToken()
+        token.cancel("operator abort")
+        clock = FakeClock()
+        expired = Budget(timeout=1.0, clock=clock).start()
+        clock.advance(2.0)
+        for budget in (Budget(token=token), expired):
+            with pytest.raises(ExecutionInterruptedError) as exc_info:
+                greatest_fixpoint(program, db, budget=budget)
+            assert exc_info.value.iterations == 0
+            assert budget.iterations == 0
 
     def test_merger_stops_mid_run(self, soccer_movie_db):
         stage1 = minimal_perfect_typing(soccer_movie_db)
