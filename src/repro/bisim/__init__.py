@@ -8,11 +8,12 @@ an ``l``-edge to class ``pi_j`` (in either direction), split it.
 
 This subpackage implements that computation (forward, backward and
 forward+backward variants, plus the depth-bounded ``k``-bisimulation
-used by the representative-object baseline) so the benchmarks can
-compare partition sizes against the minimal perfect typing.  The one
-engine is :func:`refine_partition`; the test suite checks it against a
-brute-force greatest bisimulation, and checks that bisimilar objects
-share a Stage 1 home type.
+used by the representative-object baseline).  Its one engine,
+:func:`refine_partition`, is also the one Stage 1 runs: the minimal
+perfect typing takes its bisimulation classes from it
+(:func:`repro.core.perfect.bisimulation_classes`).  The test suite
+checks the engine against a brute-force greatest bisimulation and,
+round by round, against synchronous Moore refinement.
 """
 
 from repro.bisim.bisimulation import (

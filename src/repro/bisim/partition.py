@@ -1,16 +1,32 @@
-"""Generic signature-based partition refinement.
+"""Signature-based partition refinement: the one bisimulation engine.
 
-The refinement loop: every object gets a *signature* — the set of
-``(direction, label, neighbour-block)`` triples visible one step away —
-and blocks are split by signature.  Iterating to a fixed point yields
-the coarsest stable partition, i.e. the (forward/backward/both)
-bisimulation quotient.  Running a bounded number of rounds yields the
-depth-``k`` variant.
+Every complex object has a *signature* — the set of
+``(direction, label, neighbour-block)`` pairs visible one step away,
+with every atomic neighbour in one block of its own — and a round
+splits each block by signature.  Iterating to a fixed point yields the
+coarsest stable partition, i.e. the (forward/backward/both)
+bisimulation quotient; a bounded number of rounds from the one-block
+partition yields the depth-``k`` variant.
 
-This is the naive ``O(rounds * |E|)`` scheme rather than
-Paige–Tarjan's ``O(|E| log |V|)``; at the paper's dataset sizes
-(hundreds to thousands of objects) the simple scheme is faster in
-Python and much easier to audit.
+The engine computes exactly those synchronous rounds, but only
+re-signs what can have changed:
+
+* each object's labelled neighbours are read from the database once;
+* a round re-signs only the objects that read the block of an object
+  which changed block in the round before;
+* every block records the signature its members shared when it was
+  last split.  Members that still carry it keep the block's id (so
+  their readers are not re-signed); if no member kept it, the largest
+  group keeps the id and records its new signature, and every other
+  group gets a fresh id.
+
+A member that was not re-signed still carries the recorded signature,
+because none of the blocks it reads changed id, so each round splits
+every block exactly as the synchronous round from the same partition
+does.  Round ``r`` therefore equals synchronous round ``r``, and the
+result is the coarsest stable partition refining the start.  Stage 1
+(:func:`repro.core.perfect.bisimulation_classes`), :mod:`repro.bisim`
+and the baselines all run on it.
 """
 
 from __future__ import annotations
@@ -69,33 +85,9 @@ class Partition:
         return Partition(tuple(sorted(self.blocks, key=lambda b: sorted(b))))
 
 
-#: Sentinel block id for atomic neighbours (they are never split).
+#: Block id every atomic neighbour reads as (atomic objects are never
+#: split); the neighbour lists name atomic neighbours ``None``.
 _ATOM_BLOCK = -1
-
-
-def _signatures(
-    db: Database,
-    block_of: Dict[ObjectId, int],
-    objects: List[ObjectId],
-    use_outgoing: bool,
-    use_incoming: bool,
-) -> Dict[ObjectId, FrozenSet[Tuple[str, str, int]]]:
-    sigs: Dict[ObjectId, FrozenSet[Tuple[str, str, int]]] = {}
-    for obj in objects:
-        parts: set = set()
-        if use_outgoing:
-            for edge in db.out_edges(obj):
-                neighbour_block = (
-                    _ATOM_BLOCK
-                    if db.is_atomic(edge.dst)
-                    else block_of[edge.dst]
-                )
-                parts.add(("out", edge.label, neighbour_block))
-        if use_incoming:
-            for edge in db.in_edges(obj):
-                parts.add(("in", edge.label, block_of[edge.src]))
-        sigs[obj] = frozenset(parts)
-    return sigs
 
 
 def refine_partition(
@@ -107,27 +99,86 @@ def refine_partition(
 ) -> Partition:
     """Refine ``initial`` to stability (or for ``max_rounds`` rounds).
 
+    ``initial`` must cover the complex objects of ``db``; it defaults
+    to the one-block partition, whose first round splits the objects
+    by edge kinds (direction, label, complex or atomic neighbour).
     With both directions enabled and no round bound this computes the
     forward+backward bisimulation quotient of the complex objects; with
     only ``use_outgoing`` the forward quotient; bounding the rounds
     yields depth-``k`` bisimulation (round ``k`` distinguishes paths of
-    length ``k``).
+    length ``k``), counted from ``initial``.
     """
-    objects = sorted(db.complex_objects())
-    partition = initial if initial is not None else Partition.single(objects)
+    objects = list(db.complex_objects())
+    start = initial if initial is not None else Partition.single(objects)
+    if max_rounds == 0:
+        return start.normalised()
+
+    # Each object's (kind, neighbour) pairs, read once, and for each
+    # object the objects whose signatures read its block.
+    kinds: Dict[Tuple[str, str], int] = {}
+    links: Dict[ObjectId, Tuple[Tuple[int, Optional[ObjectId]], ...]] = {}
+    readers: Dict[ObjectId, List[ObjectId]] = {obj: [] for obj in objects}
+    for obj in objects:
+        pairs = set()
+        if use_outgoing:
+            for label in db.out_labels(obj):
+                kind = kinds.setdefault(("out", label), len(kinds))
+                for dst in db.targets_view(obj, label):
+                    pairs.add((kind, None if db.is_atomic(dst) else dst))
+        if use_incoming:
+            for label in db.in_labels(obj):
+                kind = kinds.setdefault(("in", label), len(kinds))
+                for src in db.sources_view(obj, label):
+                    pairs.add((kind, src))
+        links[obj] = tuple(pairs)
+        for _, neighbour in pairs:
+            if neighbour is not None:
+                readers[neighbour].append(obj)
+
+    block: Dict[Optional[ObjectId], int] = {None: _ATOM_BLOCK}
+    size: List[int] = []
+    for members in start.blocks:
+        for obj in members:
+            block[obj] = len(size)
+        size.append(len(members))
+    recorded: Dict[int, FrozenSet[Tuple[int, int]]] = {}
+    dirty: Iterable[ObjectId] = objects
     rounds = 0
-    while True:
-        if max_rounds is not None and rounds >= max_rounds:
-            return partition.normalised()
-        block_of = partition.block_of()
-        sigs = _signatures(db, block_of, objects, use_outgoing, use_incoming)
-        groups: Dict[Tuple[int, FrozenSet], List[ObjectId]] = {}
-        for obj in objects:
-            groups.setdefault((block_of[obj], sigs[obj]), []).append(obj)
-        new_partition = Partition(
-            tuple(frozenset(members) for members in groups.values())
-        ).normalised()
+    while dirty and (max_rounds is None or rounds < max_rounds):
         rounds += 1
-        if new_partition.num_blocks == partition.num_blocks:
-            return new_partition
-        partition = new_partition
+        regroup: Dict[int, Dict[FrozenSet, List[ObjectId]]] = {}
+        for obj in dirty:
+            signature = frozenset(
+                [(kind, block[neighbour]) for kind, neighbour in links[obj]]
+            )
+            regroup.setdefault(block[obj], {}).setdefault(
+                signature, []
+            ).append(obj)
+        moved: List[ObjectId] = []
+        for block_id, groups in regroup.items():
+            keep = recorded.get(block_id)
+            if keep not in groups and size[block_id] == sum(
+                map(len, groups.values())
+            ):
+                # Every member was re-signed and none kept the recorded
+                # signature: the largest group keeps the id.
+                keep = max(groups, key=lambda sig: len(groups[sig]))
+                recorded[block_id] = keep
+            for signature, members in groups.items():
+                if signature == keep:
+                    continue
+                new_id = len(size)
+                size.append(len(members))
+                size[block_id] -= len(members)
+                recorded[new_id] = signature
+                for obj in members:
+                    block[obj] = new_id
+                moved.extend(members)
+        dirty = {reader for obj in moved for reader in readers[obj]}
+
+    by_block: Dict[int, List[ObjectId]] = {}
+    for obj in objects:
+        by_block.setdefault(block[obj], []).append(obj)
+    return Partition(
+        tuple(frozenset(members) for members in by_block.values())
+    ).normalised()

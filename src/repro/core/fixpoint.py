@@ -62,8 +62,12 @@ datalog engine (:func:`repro.datalog.evaluation.evaluate_gfp`), and
 ``benchmarks/bench_perf_regression.py`` gates its wall time against
 the naive one.
 
-The module also provides the naive least fixpoint and membership
-explanations used by the defect reports and the test suite.
+Stage 1 (:mod:`repro.core.perfect`) runs this engine once per
+extraction, on its class database: one object per bisimulation class,
+the classes found on the database itself by
+:func:`repro.bisim.partition.refine_partition`.  The module also
+provides the naive least fixpoint and membership explanations used by
+the defect reports and the test suite.
 """
 
 from __future__ import annotations
@@ -84,7 +88,6 @@ from typing import (
 
 from repro.core.sorts import sort_of
 from repro.core.typing_program import (
-    ATOMIC,
     Direction,
     is_atomic_name,
     TypedLink,
@@ -388,76 +391,6 @@ def greatest_fixpoint(
         extents={name: frozenset(members) for name, members in extents.items()},
         iterations=iterations,
     )
-
-
-def bisimulation_quotient(
-    program: TypingProgram,
-) -> Tuple[TypingProgram, Dict[str, str]]:
-    """Collapse syntactically bisimilar rules; exact for GFP extents.
-
-    Returns ``(quotient, mapping)`` where ``mapping`` sends every type
-    name of ``program`` to the name of its representative in
-    ``quotient``, and for every database ``D``::
-
-        greatest_fixpoint(program, D).members(q)
-            == greatest_fixpoint(quotient, D).members(mapping[q])
-
-    The partition is computed by Moore-style refinement: start with all
-    rules in one class and repeatedly split classes by the rule
-    *signature* — the body with every complex target replaced by the
-    current class of that target (atomic targets kept verbatim) — until
-    stable.  On the stable partition all rules of a class have
-    literally equal bodies after renaming targets to representatives.
-
-    Exactness argument (rule bodies are *positive* conjunctions, which
-    is what makes both directions work):
-
-    * Pulling the quotient GFP ``M'`` back along ``mapping`` gives a
-      fixpoint of ``program``: satisfaction of a renamed body under
-      ``M'`` coincides with satisfaction of the original body under the
-      pullback, so the pullback is ``T_P``-stable and therefore below
-      the GFP ``M`` of ``program``.
-    * Pushing ``M`` forward (per-class union) gives a *pre*-fixpoint of
-      the quotient — monotonicity of positive bodies means enlarging
-      extents never breaks satisfaction — so the pushforward is below
-      ``M'``, i.e. ``M(q) ⊆ M'(mapping[q])``.
-
-    Together: equality.  Stage 1 quotients ``Q_D`` with it
-    (:func:`repro.core.perfect.bisimulation_classes`).
-    """
-    rules = list(program.rules())
-    names = [rule.name for rule in rules]
-    cls: Dict[str, int] = {name: 0 for name in names}
-    num_classes = 1 if rules else 0
-    while True:
-        buckets: Dict[Tuple[int, FrozenSet], List[str]] = {}
-        for rule in rules:
-            signature = frozenset(
-                (link.direction, link.label, link.target)
-                if link.is_atomic_target
-                else (link.direction, link.label, cls[link.target])
-                for link in rule.body
-            )
-            buckets.setdefault((cls[rule.name], signature), []).append(
-                rule.name
-            )
-        if len(buckets) == num_classes:
-            break
-        num_classes = len(buckets)
-        cls = {}
-        for new_id, members in enumerate(buckets.values()):
-            for member in members:
-                cls[member] = new_id
-
-    representative: Dict[int, str] = {}
-    for name in names:  # first-in-program-order member represents
-        representative.setdefault(cls[name], name)
-    mapping = {name: representative[cls[name]] for name in names}
-    quotient_rules = [
-        program.rule(rep).rename_targets(mapping)
-        for rep in representative.values()
-    ]
-    return TypingProgram(quotient_rules, check=False), mapping
 
 
 def greatest_fixpoint_naive(program: TypingProgram, db: Database) -> FixpointResult:

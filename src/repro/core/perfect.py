@@ -29,20 +29,25 @@ quadratic in the objects that share a signature.
 :func:`minimal_perfect_typing` runs it over one object per
 bisimulation class instead:
 
-1. ``Q_D`` is built over the complex objects in sorted order and
-   quotiented by :func:`repro.core.fixpoint.bisimulation_quotient`;
-   each class is represented by its first rule, i.e. its smallest
-   object, so the work counters do not follow ``PYTHONHASHSEED``.
-   Atomic targets stay verbatim in the quotient's signatures, so under
+1. :func:`repro.bisim.partition.refine_partition` computes the
+   forward+backward bisimulation classes of the complex objects on
+   ``D`` itself.  It starts from :func:`atomic_start`, the objects
+   grouped by the atomic links their local pictures carry, so under
    :func:`repro.core.sorts.sorted_local_rule` classes split by sort.
+   Each class is represented by its smallest object, so the work
+   counters do not follow ``PYTHONHASHSEED``.
 2. The *class database* holds one complex object per class, its
    representative, with the representative's atomic out-edges and
    its complex out-edges redirected to the targets' representatives.
    Incoming edges need no copy: the partition is stable, so every
    incoming ``l``-edge from a class ``C`` is mirrored by an outgoing
    ``l``-edge of ``C``'s representative into the owner's class, which
-   the class database points at the owner's representative.  The
-   quotient program is then exactly ``Q`` of the class database.
+   the class database points at the owner's representative.  So ``Q``
+   of the class database (:func:`build_object_program` on it) is
+   exactly the quotient of ``Q_D``: each rule is a representative's
+   local picture with every complex target renamed to its class, and
+   bisimilar objects have equal renamed pictures.  ``Q_D`` of the
+   whole database is never built.
 3. The GFP runs on the class database, and the collapse groups
    classes by class-level extent.
 
@@ -63,10 +68,10 @@ members of the classes in its class-level extent.
 (:mod:`repro.parallel.merge`) runs the first half per shard and both
 halves on the disjoint union of the shards' class databases.
 
-The per-object path — :func:`build_object_program`,
+The per-object path — :func:`build_object_program` on ``D``,
 :func:`repro.core.fixpoint.greatest_fixpoint` and
 :func:`collapse_object_fixpoint` — stays as the oracle the test suite
-compares against; the differential maintainer
+compares against (``tests/core/oracle.py``); the differential maintainer
 (:class:`repro.core.delta.Stage1Maintainer`) re-enters
 :func:`collapse_object_fixpoint` with per-object extents.
 """
@@ -76,11 +81,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.fixpoint import (
-    FixpointResult,
-    bisimulation_quotient,
-    greatest_fixpoint,
-)
+from repro.bisim.partition import Partition, refine_partition
+from repro.core.fixpoint import FixpointResult, greatest_fixpoint
+from repro.core.sorts import sort_of, sorted_local_rule
 from repro.core.typing_program import TypedLink, TypeRule, TypingProgram
 from repro.graph.database import Database, ObjectId
 from repro.perf import PerfRecorder, resolve as _resolve_perf
@@ -124,6 +127,41 @@ def build_object_program(db: Database, local_rule_fn=None) -> TypingProgram:
     return TypingProgram(
         [build(db, obj) for obj in sorted(db.complex_objects())], check=False
     )
+
+
+def atomic_start(db: Database, local_rule_fn=None) -> Optional[Partition]:
+    """The partition Stage 1's refinement starts from.
+
+    Groups the complex objects by the atomic links their local
+    pictures would carry, so bisimulation classes split wherever the
+    rule builder tells atomic targets apart.  The plain builder needs
+    no start (``None``): its atomic targets are all ``0``, which the
+    refinement's single atomic block already encodes.  Under
+    :func:`repro.core.sorts.sorted_local_rule` the groups are read
+    straight from ``db`` — the set of ``(label, sort)`` over an
+    object's atomic out-edges — and any other builder is called once
+    per object and its rule's atomic links are the key.
+    """
+    if local_rule_fn is None or local_rule_fn is local_rule:
+        return None
+    if local_rule_fn is sorted_local_rule:
+        def key(obj: ObjectId) -> FrozenSet:
+            return frozenset(
+                (label, sort_of(db.value(dst)))
+                for label in db.out_labels(obj)
+                for dst in db.targets_view(obj, label)
+                if db.is_atomic(dst)
+            )
+    else:
+        def key(obj: ObjectId) -> FrozenSet:
+            return frozenset(
+                link for link in local_rule_fn(db, obj).body
+                if link.is_atomic_target
+            )
+    groups: Dict[FrozenSet, List[ObjectId]] = {}
+    for obj in db.complex_objects():
+        groups.setdefault(key(obj), []).append(obj)
+    return Partition(tuple(frozenset(members) for members in groups.values()))
 
 
 def equivalent_by_membership(
@@ -239,8 +277,8 @@ def minimal_perfect_typing(
     overrides the local-picture builder (used by the Remark 2.1 sorts
     extension).  ``perf`` threads a :class:`repro.perf.PerfRecorder`
     into the GFP engine, times the stage's phases (spans
-    ``stage1.build_qd``, ``stage1.quotient``, ``stage1.collapse``) and
-    counts the classes (``stage1.bisim_classes``).
+    ``stage1.quotient`` and ``stage1.collapse``) and counts the
+    classes (``stage1.bisim_classes``).
 
     Example
     -------
@@ -274,15 +312,18 @@ def bisimulation_classes(
     object); and the class database.
     """
     perf = _resolve_perf(perf)
-    with perf.span("stage1.build_qd"):
-        q_program = build_object_program(db, local_rule_fn=local_rule_fn)
     with perf.span("stage1.quotient"):
-        quotient, mapping = bisimulation_quotient(q_program)
-        representative = {
-            object_of_type_name(name): object_of_type_name(rep)
-            for name, rep in mapping.items()
-        }
+        partition = refine_partition(
+            db, initial=atomic_start(db, local_rule_fn)
+        )
+        rep_of: Dict[ObjectId, ObjectId] = {}
+        for block in partition.blocks:
+            rep_of.update(dict.fromkeys(block, min(block)))
+        # Keyed in object order, so the typing lists each class's home
+        # objects in the same order on every run.
+        representative = {obj: rep_of[obj] for obj in sorted(rep_of)}
         class_db = _class_database(db, representative)
+        quotient = build_object_program(class_db, local_rule_fn)
     perf.incr("stage1.bisim_classes", len(quotient))
     return quotient, representative, class_db
 
@@ -421,24 +462,3 @@ def verify_perfect(typing: PerfectTyping, db: Database) -> bool:
         obj in fixpoint.members(home) for obj, home in typing.home_type.items()
     )
 
-
-def signature_partition(db: Database) -> Dict[str, FrozenSet[ObjectId]]:
-    """Partition complex objects by raw edge-kind signature.
-
-    This is the *zeroth-order* approximation of the perfect typing
-    (what you get by looking one step around each object without
-    typing the neighbours).  The minimal perfect typing always refines
-    or equals it; benchmarks report both sizes to show how much the
-    fixpoint's recursive typing adds.
-    """
-    from repro.core.fixpoint import object_signature
-
-    groups: Dict[FrozenSet, List[ObjectId]] = {}
-    for obj in db.complex_objects():
-        groups.setdefault(object_signature(db, obj), []).append(obj)
-    out: Dict[str, FrozenSet[ObjectId]] = {}
-    for index, (_, members) in enumerate(
-        sorted(groups.items(), key=lambda kv: min(kv[1])), start=1
-    ):
-        out[f"s{index}"] = frozenset(members)
-    return out

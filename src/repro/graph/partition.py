@@ -9,15 +9,10 @@ components (see ``docs/PARALLELISM.md`` for the argument).
 
 This module turns that observation into work units:
 
-* :func:`minid_components` labels the weakly-connected components by
-  iterative min-id label propagation with pointer jumping — the
-  in-database connected-component idiom of Bögeholz, Brand & Todor
-  (arXiv:1802.09478): each round every edge pulls both endpoints'
-  labels down to their minimum, then every label is short-cut to its
-  root, so convergence takes ``O(log n)`` rounds even on long chains.
-  No recursion, no per-component frontier queues — the only state is
-  the flat ``object -> label`` map, which is what lets the partitioner
-  run at the 10^5-object scale the parallel benchmarks use;
+* :func:`~repro.graph.traversal.connected_components` enumerates the
+  weakly-connected components in one pass over the objects: each
+  object not yet seen seeds a breadth-first search that follows edges
+  in both directions, so every object and edge is visited once;
 * :func:`partition_database` enumerates the weakly-connected
   components and bin-packs them into at most ``num_shards`` balanced
   :class:`Shard` work units (largest-first greedy / LPT, deterministic);
@@ -46,82 +41,6 @@ from typing import FrozenSet, Iterable, List, Optional
 from repro.exceptions import DatabaseError
 from repro.graph.database import Database, ObjectId
 from repro.graph.traversal import connected_components
-
-#: Object count above which :func:`partition_database` switches from
-#: the BFS enumeration to min-id label propagation (``method="auto"``).
-_MINID_AUTO_THRESHOLD = 4096
-
-
-def minid_components(db: Database) -> List[FrozenSet[ObjectId]]:
-    """Weakly-connected components by min-id label propagation.
-
-    Produces exactly the same component list as
-    :func:`~repro.graph.traversal.connected_components` (largest first,
-    ties by member order) without any traversal state: every object
-    starts labelled by itself, each round lowers both endpoints of
-    every edge to the smaller label (hooking) and then compresses every
-    label chain to its root (pointer jumping), and the fixpoint labels
-    each object with the minimum object id of its component.
-
-    Hooking alone moves a minimum only one hop per round (linear rounds
-    on a chain); the jumping step makes label chains collapse
-    geometrically, so rounds are logarithmic in the component diameter.
-    """
-    label: dict = {obj: obj for obj in db.objects()}
-    if not label:
-        return []
-    while True:
-        changed = False
-        # Hooking: pull both endpoints of every edge to the min label.
-        for edge in db.edges():
-            a = label[edge.src]
-            b = label[edge.dst]
-            if a < b:
-                label[edge.dst] = a
-                changed = True
-            elif b < a:
-                label[edge.src] = b
-                changed = True
-        # Pointer jumping: short-cut every label chain to its root so
-        # the next hooking round propagates across the whole chain.
-        for obj in label:
-            root = label[obj]
-            parent = label[root]
-            if parent != root:
-                while True:
-                    grand = label[parent]
-                    if grand == parent:
-                        break
-                    parent = grand
-                label[obj] = parent
-                changed = True
-        if not changed:
-            break
-    groups: dict = {}
-    for obj, root in label.items():
-        groups.setdefault(root, []).append(obj)
-    components = [frozenset(members) for members in groups.values()]
-    components.sort(key=lambda c: (-len(c), sorted(c)))
-    return components
-
-
-def _enumerate_components(
-    db: Database, method: str
-) -> List[FrozenSet[ObjectId]]:
-    """Dispatch between the BFS and min-id component enumerations."""
-    if method == "auto":
-        method = (
-            "minid" if db.num_objects >= _MINID_AUTO_THRESHOLD
-            else "traversal"
-        )
-    if method == "minid":
-        return minid_components(db)
-    if method == "traversal":
-        return connected_components(db)
-    raise DatabaseError(
-        f"unknown component method {method!r} "
-        "(expected 'auto', 'minid' or 'traversal')"
-    )
 
 
 @dataclass(frozen=True)
@@ -154,7 +73,6 @@ def partition_database(
     db: Database,
     num_shards: int,
     max_objects: Optional[int] = None,
-    method: str = "auto",
 ) -> List[Shard]:
     """Split ``db`` into at most ``num_shards`` balanced shards.
 
@@ -174,18 +92,12 @@ def partition_database(
     With one component (or ``num_shards <= 1``) the result is a single
     shard covering the whole database: the documented fallback that
     makes callers take the sequential path.
-
-    ``method`` selects the component enumeration: ``"traversal"`` (the
-    BFS path), ``"minid"`` (label propagation, see
-    :func:`minid_components`) or ``"auto"`` (the default — min-id above
-    a few thousand objects).  Both enumerations are canonical, so the
-    partition is identical either way.
     """
     if num_shards < 1:
         raise DatabaseError(f"num_shards must be >= 1, got {num_shards}")
     if max_objects is not None and max_objects < 1:
         raise DatabaseError(f"max_objects must be >= 1, got {max_objects}")
-    components = _enumerate_components(db, method)
+    components = connected_components(db)
     if not components:
         return []
     if len(components) == 1 or num_shards == 1:

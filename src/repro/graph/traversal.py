@@ -94,13 +94,14 @@ def depth_first_order(db: Database, start: ObjectId) -> List[ObjectId]:
 
 def connected_components(db: Database) -> List[FrozenSet[ObjectId]]:
     """Weakly-connected components, largest first (ties by member order)."""
-    remaining: Set[ObjectId] = set(db.objects())
+    seen: Set[ObjectId] = set()
     components: List[FrozenSet[ObjectId]] = []
-    while remaining:
-        seed = next(iter(remaining))
+    for seed in db.objects():
+        if seed in seen:
+            continue
         component = reachable_from(db, [seed], follow_incoming=True)
         components.append(component)
-        remaining -= component
+        seen |= component
     components.sort(key=lambda c: (-len(c), sorted(c)))
     return components
 

@@ -1,6 +1,10 @@
-"""Brute-force greatest bisimulation: the oracle for ``refine_partition``."""
+"""Oracles for ``refine_partition``: brute-force greatest bisimulation
+and the synchronous rounds of Moore refinement."""
 
 from repro.bisim.partition import Partition
+
+#: Block id of every atomic neighbour in :func:`synchronous_refinement`.
+_ATOM_BLOCK = -1
 
 
 def greatest_bisimulation(db, use_outgoing=True, use_incoming=True):
@@ -50,3 +54,50 @@ def greatest_bisimulation(db, use_outgoing=True, use_incoming=True):
         frozenset(y for y in objects if (x, y) in related) for x in objects
     }
     return Partition(tuple(blocks)).normalised()
+
+
+def _signatures(db, block_of, objects, use_outgoing, use_incoming):
+    sigs = {}
+    for obj in objects:
+        parts = set()
+        if use_outgoing:
+            for edge in db.out_edges(obj):
+                neighbour_block = (
+                    _ATOM_BLOCK
+                    if db.is_atomic(edge.dst)
+                    else block_of[edge.dst]
+                )
+                parts.add(("out", edge.label, neighbour_block))
+        if use_incoming:
+            for edge in db.in_edges(obj):
+                parts.add(("in", edge.label, block_of[edge.src]))
+        sigs[obj] = frozenset(parts)
+    return sigs
+
+
+def synchronous_refinement(
+    db, initial=None, use_outgoing=True, use_incoming=True, max_rounds=None
+):
+    """Moore refinement in synchronous rounds, every object re-signed in
+    every round: round ``r + 1`` splits each block of round ``r`` by the
+    signatures under round ``r``.  Stops at the first round that splits
+    nothing, or after ``max_rounds`` rounds counted from ``initial``
+    (the one-block partition by default)."""
+    objects = sorted(db.complex_objects())
+    partition = initial if initial is not None else Partition.single(objects)
+    rounds = 0
+    while True:
+        if max_rounds is not None and rounds >= max_rounds:
+            return partition.normalised()
+        block_of = partition.block_of()
+        sigs = _signatures(db, block_of, objects, use_outgoing, use_incoming)
+        groups = {}
+        for obj in objects:
+            groups.setdefault((block_of[obj], sigs[obj]), []).append(obj)
+        new_partition = Partition(
+            tuple(frozenset(members) for members in groups.values())
+        ).normalised()
+        rounds += 1
+        if new_partition.num_blocks == partition.num_blocks:
+            return new_partition
+        partition = new_partition

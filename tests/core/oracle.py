@@ -21,3 +21,9 @@ def stage1_fields(typing):
     """Every field of a :class:`PerfectTyping` but the ``q_iterations``
     diagnostic, which counts the work of whichever GFP ran."""
     return typing.program, typing.home_type, typing.extents, typing.weights
+
+
+def wrapped_local_rule(db, obj):
+    """A rule builder Stage 1 does not know: it delegates to the plain
+    local rule, so Stage 1 must start from its rules' atomic links."""
+    return local_rule(db, obj)

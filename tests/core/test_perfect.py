@@ -9,7 +9,6 @@ from repro.core.perfect import (
     local_rule,
     minimal_perfect_typing,
     object_type_name,
-    signature_partition,
     verify_perfect,
 )
 from repro.core.sorts import sorted_local_rule
@@ -127,18 +126,6 @@ class TestGeneralProperties:
         r2 = minimal_perfect_typing(figure4_db.copy())
         assert r1.home_type == r2.home_type
         assert r1.program == r2.program
-
-    def test_perfect_typing_refines_signature_partition(self, figure4_db):
-        signatures = signature_partition(figure4_db)
-        result = minimal_perfect_typing(figure4_db)
-        # Objects in the same home class always share a signature block.
-        sig_block = {}
-        for name, members in signatures.items():
-            for obj in members:
-                sig_block[obj] = name
-        for type_name in result.program.type_names():
-            blocks = {sig_block[o] for o in result.home_members(type_name)}
-            assert len(blocks) == 1
 
     def test_empty_database(self):
         db = DatabaseBuilder().build()

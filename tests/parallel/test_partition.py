@@ -112,46 +112,3 @@ def test_extract_shard_rejects_unknown_objects():
     db = DatabaseBuilder().link("a", "b", "l").build()
     with pytest.raises(DatabaseError):
         extract_shard(db, ["a", "b", "ghost"])
-
-
-# ---------------------------------------------------------------------------
-# Min-id label propagation (the constant-memory component enumeration)
-# ---------------------------------------------------------------------------
-
-
-def test_minid_matches_traversal_on_mixed_components():
-    from repro.graph.partition import minid_components
-    from repro.graph.traversal import connected_components
-
-    db = _components_db([7, 4, 4, 2, 1])
-    assert minid_components(db) == connected_components(db)
-
-
-def test_minid_matches_traversal_on_long_chain():
-    """A single long chain is the pointer-jumping worst case: hooking
-    alone would need linear rounds, jumping keeps it logarithmic —
-    either way the labels must converge to one component."""
-    from repro.graph.partition import minid_components
-    from repro.graph.traversal import connected_components
-
-    db = _components_db([200])
-    assert minid_components(db) == connected_components(db)
-
-
-def test_minid_empty_database():
-    from repro.graph.partition import minid_components
-
-    assert minid_components(Database()) == []
-
-
-def test_partition_methods_agree():
-    db = _components_db([6, 5, 3, 2])
-    by_bfs = partition_database(db, 3, method="traversal")
-    by_minid = partition_database(db, 3, method="minid")
-    assert [s.objects for s in by_bfs] == [s.objects for s in by_minid]
-
-
-def test_partition_rejects_unknown_method():
-    db = _components_db([2, 2])
-    with pytest.raises(DatabaseError):
-        partition_database(db, 2, method="dfs")

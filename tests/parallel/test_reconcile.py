@@ -12,7 +12,6 @@ import os
 
 import pytest
 
-from repro.core.fixpoint import bisimulation_quotient, greatest_fixpoint
 from repro.core.perfect import minimal_perfect_typing
 from repro.exceptions import ClusteringError
 from repro.graph.database import Database
@@ -57,57 +56,6 @@ def _leaks():
     return multiprocessing.active_children(), leaked_system_segments(
         os.getpid()
     )
-
-
-class TestBisimulationQuotient:
-    def test_quotient_preserves_extents(self, multi_db, sequential):
-        combined = sequential.program
-        quotient, mapping = bisimulation_quotient(combined)
-        assert set(mapping) == set(combined.type_names())
-        assert set(mapping.values()) == set(quotient.type_names())
-        full = greatest_fixpoint(combined, multi_db)
-        reduced = greatest_fixpoint(quotient, multi_db)
-        for name in combined.type_names():
-            assert full.members(name) == reduced.members(mapping[name])
-
-    def test_bisimilar_rules_collapse(self):
-        # Structurally identical rules under different names — the
-        # shape Q_D takes when the same component appears twice.
-        from repro.core.typing_program import (
-            ATOMIC,
-            Direction,
-            TypedLink,
-            TypeRule,
-            TypingProgram,
-        )
-
-        leaf_a = TypeRule(
-            "leaf_a", frozenset({TypedLink(Direction.OUT, "name", ATOMIC)})
-        )
-        leaf_b = TypeRule(
-            "leaf_b", frozenset({TypedLink(Direction.OUT, "name", ATOMIC)})
-        )
-        root = TypeRule(
-            "root",
-            frozenset(
-                {
-                    TypedLink(Direction.OUT, "child", "leaf_a"),
-                    TypedLink(Direction.OUT, "child", "leaf_b"),
-                }
-            ),
-        )
-        program = TypingProgram([leaf_a, leaf_b, root])
-        quotient, mapping = bisimulation_quotient(program)
-        assert mapping["leaf_a"] == mapping["leaf_b"]
-        assert mapping["root"] == "root"
-        assert len(quotient) == 2
-
-    def test_empty_program(self):
-        from repro.core.typing_program import TypingProgram
-
-        quotient, mapping = bisimulation_quotient(TypingProgram([]))
-        assert len(quotient) == 0
-        assert mapping == {}
 
 
 def _shard_classes(db, num_shards):

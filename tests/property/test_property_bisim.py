@@ -1,9 +1,10 @@
 """Property tests for partition refinement on random graphs.
 
 ``refine_partition`` agrees with a brute-force greatest bisimulation in
-each direction, and its forward+backward blocks match Stage 1: bisimilar
-objects share a home type, quotienting ``Q_D`` groups the objects the
-same way, and Stage 1 on the quotient equals the per-object Stage 1.
+each direction and with synchronous Moore refinement round by round,
+and its forward+backward blocks match Stage 1: bisimilar objects share
+a home type, and Stage 1 on the bisimulation classes equals the
+per-object Stage 1.
 """
 
 import pytest
@@ -11,16 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bisim.partition import Partition, refine_partition
-from repro.core.fixpoint import bisimulation_quotient
-from repro.core.perfect import (
-    build_object_program,
-    minimal_perfect_typing,
-    object_type_name,
-)
+from repro.core.perfect import minimal_perfect_typing
 from repro.core.sorts import sorted_local_rule
 from repro.graph.database import Database
-from tests.bisim.oracle import greatest_bisimulation
-from tests.core.oracle import per_object_stage1, stage1_fields
+from tests.bisim.oracle import greatest_bisimulation, synchronous_refinement
+from tests.core.oracle import (
+    per_object_stage1,
+    stage1_fields,
+    wrapped_local_rule,
+)
 
 labels = st.sampled_from(["a", "b", "c"])
 objects = st.sampled_from([f"o{i}" for i in range(7)])
@@ -94,26 +94,46 @@ def test_bisimilar_objects_share_a_stage1_home(db):
         assert len({home[obj] for obj in block}) == 1
 
 
-@given(databases())
-@settings(max_examples=60, deadline=None)
-def test_object_program_quotient_matches_refinement(db):
-    """Quotienting ``Q_D`` by syntactic rule bisimilarity groups the
-    complex objects exactly as graph bisimulation does."""
-    _, mapping = bisimulation_quotient(build_object_program(db))
-    groups = {}
-    for obj in db.complex_objects():
-        groups.setdefault(mapping[object_type_name(obj)], set()).add(obj)
-    quotient = Partition(tuple(frozenset(g) for g in groups.values()))
-    assert quotient.normalised() == refine_partition(db)
+DIRECTIONS = [
+    dict(use_outgoing=True, use_incoming=True),
+    dict(use_outgoing=True, use_incoming=False),
+    dict(use_outgoing=False, use_incoming=True),
+]
 
 
-@pytest.mark.parametrize("local_rule_fn", [None, sorted_local_rule])
+@pytest.mark.parametrize(
+    "flags", DIRECTIONS, ids=["both", "forward", "backward"]
+)
+@given(db=databases(), split=st.lists(st.booleans(), min_size=7, max_size=7))
+@settings(max_examples=80, deadline=None)
+def test_rounds_match_synchronous_refinement(flags, db, split):
+    """Round ``r`` of the engine is synchronous round ``r``: the depth-k
+    partitions for ``max_rounds`` 0–3, the fixed point, and the fixed
+    point from a two-block start partition."""
+    for max_rounds in (0, 1, 2, 3, None):
+        assert refine_partition(
+            db, max_rounds=max_rounds, **flags
+        ) == synchronous_refinement(db, max_rounds=max_rounds, **flags)
+    objects = sorted(db.complex_objects())
+    halves = [
+        [obj for obj, bit in zip(objects, split) if bit is side]
+        for side in (True, False)
+    ]
+    initial = Partition(tuple(frozenset(half) for half in halves if half))
+    assert refine_partition(
+        db, initial=initial, **flags
+    ) == synchronous_refinement(db, initial=initial, **flags)
+
+
+@pytest.mark.parametrize(
+    "local_rule_fn", [None, sorted_local_rule, wrapped_local_rule]
+)
 @given(db=databases())
 @settings(max_examples=150, deadline=None)
 def test_quotient_stage1_matches_per_object_reference(local_rule_fn, db):
     """Stage 1 on the bisimulation quotient equals the per-object GFP in
-    program, home types, extents and weights, with plain and with
-    sorted local rules."""
+    program, home types, extents and weights, with plain, sorted and
+    wrapped local rules — the three refinement starts."""
     production = minimal_perfect_typing(db, local_rule_fn=local_rule_fn)
     reference = per_object_stage1(db, local_rule_fn)
     assert stage1_fields(production) == stage1_fields(reference)
