@@ -28,7 +28,8 @@ key work metrics to ``benchmarks/results/BENCH_pipeline.json``:
   must also equal ``minimal_perfect_typing`` in every field;
 * a bitset-vs-set manhattan-kernel comparison on DBG — the gates are
   program/extent/defect equality between ``use_bitset=True`` and the
-  frozenset oracle path, plus a **checks-based cost proxy**: over the
+  frozenset oracle path, identical auto-k sweep points on both paths,
+  plus a **checks-based cost proxy**: over the
   Stage 1 all-pairs candidate round, the set path touches
   ``sum(|body_i| + |body_j|)`` link hashes while the kernel touches
   ``num_pairs * ceil(dimension / 64)`` machine words, and the proxy
@@ -376,7 +377,9 @@ def compare_manhattan_kernel(k: int = 6) -> Dict[str, object]:
 
     Runs the full Stage 1 -> 3 extraction twice — ``use_bitset=True``
     (the default) and ``use_bitset=False`` — and gates on program,
-    extent and defect equality.  The perf gate is a deterministic
+    extent and defect equality; then runs the auto-k sweep on both
+    paths and gates on identical points (both walls recorded, never
+    asserted).  The perf gate is a deterministic
     checks-based proxy over the Stage 1 all-pairs candidate round (the
     merger's first row scans evaluate exactly these pairs): the set
     path builds each symmetric difference by hashing every link of both
@@ -410,6 +413,20 @@ def compare_manhattan_kernel(k: int = 6) -> Dict[str, object]:
         bitset.recast_result.extents == plain.recast_result.extents
     ), "bitset kernel recast extents diverged on dbg-1998"
     assert bitset.defect.total == plain.defect.total
+
+    # The auto-k sweep on both paths: every sample on the merger's
+    # masks against the frozenset oracle.  Identical points are the
+    # gate; the walls are recorded, never asserted.
+    start = time.perf_counter()
+    sweep_bitset = SchemaExtractor(db).sweep()
+    sweep_bitset_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    sweep_set = SchemaExtractor(db, use_bitset=False).sweep()
+    sweep_set_seconds = time.perf_counter() - start
+    assert sweep_bitset.points == sweep_set.points, (
+        "the mask-kernel sweep diverged from the frozenset sweep on "
+        "dbg-1998"
+    )
 
     # Checks-based cost proxy over the Stage 1 all-pairs round.
     stage1 = minimal_perfect_typing(db)
@@ -458,6 +475,11 @@ def compare_manhattan_kernel(k: int = 6) -> Dict[str, object]:
         "bitset_wall_seconds": round(bitset_seconds, 6),
         "set_wall_seconds": round(set_seconds, 6),
         "speedup": round(set_seconds / max(bitset_seconds, 1e-9), 3),
+        "sweep_samples": len(sweep_bitset.points),
+        "sweep_knee": sweep_bitset.knee(),
+        "sweep_points_identical": True,
+        "sweep_bitset_wall_seconds": round(sweep_bitset_seconds, 6),
+        "sweep_set_wall_seconds": round(sweep_set_seconds, 6),
     }
 
 
@@ -648,9 +670,11 @@ def test_parallel_pipeline_extent_gate():
 
 def test_manhattan_kernel_regression_gate():
     """The bitset kernel is program/extent/defect-identical to the
-    frozenset path on DBG and its checks-based cost proxy clears the
-    30% bar (both assertions live inside the comparison)."""
+    frozenset path on DBG, its auto-k sweep has identical points, and
+    its checks-based cost proxy clears the 30% bar (the assertions live
+    inside the comparison)."""
     stats = compare_manhattan_kernel()
+    assert stats["sweep_points_identical"] is True
     assert stats["proxy_reduction"] >= MIN_KERNEL_REDUCTION
     assert stats["manhattan_evals_bitset"] > 0
     assert stats["cover_checks_bitset"] > 0
@@ -777,7 +801,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"({kernel['proxy_reduction']:.1%} proxy reduction), "
         f"{kernel['bitset_wall_seconds'] * 1000:.1f} ms vs "
         f"{kernel['set_wall_seconds'] * 1000:.1f} ms set path "
-        f"({kernel['speedup']:.2f}x, informational)"
+        f"({kernel['speedup']:.2f}x, informational); auto-k sweep "
+        f"({kernel['sweep_samples']} samples) points identical, "
+        f"{kernel['sweep_bitset_wall_seconds'] * 1000:.1f} ms vs "
+        f"{kernel['sweep_set_wall_seconds'] * 1000:.1f} ms (informational)"
     )
     delta = payload["incremental_refresh"]
     print(

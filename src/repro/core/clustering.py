@@ -50,6 +50,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
@@ -395,6 +396,14 @@ class GreedyMerger:
     def link_space(self) -> Optional[LinkSpace]:
         """The interner behind the masks (``None`` on the set path)."""
         return self._space
+
+    @property
+    def bodies(self) -> Mapping[str, Body]:
+        """The live types' bodies as a read-only live view: masks over
+        :attr:`link_space` on the bitset path, frozensets otherwise.
+        The sensitivity sweep reads its samples from it without
+        decoding a program."""
+        return MappingProxyType(self._bodies)
 
     @property
     def records(self) -> Tuple[MergeRecord, ...]:

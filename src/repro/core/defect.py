@@ -27,6 +27,23 @@ assignment):
   arithmetic of the paper's Example 2.2.
 
 ``defect = excess + deficit``.
+
+Mask kernel
+-----------
+:func:`defect_masks` measures both on a
+:class:`~repro.core.recast.LocalIndex` (the database read once) from
+rule-body masks: ``required[o]`` is the OR of the bodies of ``o``'s
+assigned types; one pass over the indexed edges builds every local
+picture under the assignment and marks an edge used when its out-bits
+hit the source's ``required`` or its in-bits hit the target's (an
+atomic edge carries ``->l^0`` and ``->l^0:<sort>``, so a rule holding
+either uses it); the deficit is ``popcount(required & ~local)`` summed
+over objects.  :func:`compute_defect` runs it by default
+(``use_bitset=True``) on an index read for the call, and the
+sensitivity sweep runs it at every sample on one index and the
+merger's live masks.  The per-link :func:`compute_excess` /
+:func:`compute_deficit` are the oracle (``use_bitset=False``) and the
+path that itemises (``collect=True``).
 """
 
 from __future__ import annotations
@@ -38,10 +55,13 @@ from typing import (
     FrozenSet,
     List,
     Mapping,
+    Sequence,
     Set,
     Tuple,
 )
 
+from repro.core.linkspace import LinkSpace
+from repro.core.recast import LocalIndex
 from repro.core.typing_program import (
     Direction,
     TypedLink,
@@ -219,18 +239,85 @@ def compute_deficit(
     return DeficitReport(count=count, missing=tuple(missing))
 
 
+def defect_masks(
+    index: LocalIndex,
+    bodies: Mapping[str, int],
+    assignment: Sequence[AbstractSet[str]],
+) -> Tuple[int, int]:
+    """``(excess, deficit)`` of a per-position assignment on ``index``.
+
+    ``bodies`` maps each type to its rule-body mask over the index's
+    space; assigned names without a body impose nothing.  Equal to
+    :func:`compute_excess` / :func:`compute_deficit` of the same
+    program and assignment (see the module docstring).
+    """
+    index.sync()
+    required: List[int] = []
+    for types in assignment:
+        mask = 0
+        for type_name in types:
+            mask |= bodies.get(type_name, 0)
+        required.append(mask)
+    local = list(index.atomic)
+    excess = 0
+    for i, edges in enumerate(index.out):
+        need = required[i]
+        for bits, count in index.atomic_edges[i]:
+            if not need & bits:
+                excess += count
+        own = assignment[i]
+        outgoing = 0
+        for out_row, in_row, j in edges:
+            out_bits = 0
+            for type_name in assignment[j]:
+                out_bits |= out_row.get(type_name, 0)
+            in_bits = 0
+            for type_name in own:
+                in_bits |= in_row.get(type_name, 0)
+            outgoing |= out_bits
+            local[j] |= in_bits
+            if not (need & out_bits or required[j] & in_bits):
+                excess += 1
+        local[i] |= outgoing
+    deficit = sum(
+        (need & ~mask).bit_count() for need, mask in zip(required, local)
+    )
+    return excess, deficit
+
+
 def compute_defect(
     program: TypingProgram,
     db: Database,
     assignment: Assignment,
     collect: bool = False,
+    use_bitset: bool = True,
 ) -> DefectReport:
     """Compute the full defect report for an assignment.
 
     ``collect=False`` (the default) skips materialising the itemised
     edge/requirement lists, which matters when the sensitivity sweep
-    evaluates the defect at every ``k``.
+    evaluates the defect at every ``k``.  ``use_bitset=True`` (the
+    default) counts on the mask kernel (:func:`defect_masks`);
+    ``False``, an itemised report (``collect=True``) and an assignment
+    that types an atomic or unknown object (Stage 3 never makes one;
+    the index holds complex objects only) take the per-link path.
+    Counts are identical either way.
     """
+    if use_bitset and not collect and all(
+        db.is_complex(obj) for obj, types in assignment.items() if types
+    ):
+        space = LinkSpace()
+        bodies = {
+            rule.name: space.encode(rule.body) for rule in program.rules()
+        }
+        index = LocalIndex(db, space)
+        empty: FrozenSet[str] = frozenset()
+        final = [assignment.get(obj, empty) for obj in index.objects]
+        excess, deficit = defect_masks(index, bodies, final)
+        return DefectReport(
+            excess=ExcessReport(count=excess, unused_edges=()),
+            deficit=DeficitReport(count=deficit, missing=()),
+        )
     return DefectReport(
         excess=compute_excess(program, db, assignment, collect_edges=collect),
         deficit=compute_deficit(program, db, assignment, collect_missing=collect),

@@ -170,8 +170,8 @@ class SchemaExtractor:
         switch was deleted: on int masks a memo probe costs more than
         the subset test it saves.
     use_bitset:
-        Run Stage 2 and Stage 3 on the link-space bitset kernel
-        (:mod:`repro.core.linkspace`; default on).  ``False`` selects
+        Run Stage 2, Stage 3 and the defect on the link-space bitset
+        kernel (:mod:`repro.core.linkspace`; default on).  ``False`` selects
         the frozenset oracle path (CLI ``--no-bitset``); results are
         identical either way.
     use_matrix:
@@ -512,7 +512,8 @@ class SchemaExtractor:
                 use_bitset=self._use_bitset,
             )
             defect = compute_defect(
-                stage2.program, self._db, recast_result.assignment
+                stage2.program, self._db, recast_result.assignment,
+                use_bitset=self._use_bitset,
             )
         degradation: Optional[DegradationReport] = None
         if degraded_stage is not None:
@@ -631,7 +632,8 @@ class SchemaExtractor:
             use_bitset=self._use_bitset,
         )
         defect = compute_defect(
-            stage2.program, self._db, recast_result.assignment
+            stage2.program, self._db, recast_result.assignment,
+            use_bitset=self._use_bitset,
         )
         degradation = DegradationReport(
             stage=stage,

@@ -27,17 +27,25 @@ object, the paper's incremental-typing story.
 
 Bitset kernel
 -------------
-With ``use_bitset=True`` (the default) the HOME_GUIDED hot loop and
-the closest-type fallback encode rule bodies into a fresh
-:class:`~repro.core.linkspace.LinkSpace` once per call and build
-each object's local picture directly as an ``int`` mask
-(:func:`object_local_mask`), so the per-object, per-rule work is
-``body & ~local == 0`` — integer bit arithmetic instead of frozenset
-subset tests.  ``use_bitset=False`` keeps the original frozenset
-evaluation as the oracle path (CLI ``--no-bitset``); the property
-suite pins that both produce identical assignments.  The
-``recast.cover_checks`` / ``recast.evaluations`` perf counters count
-the per-rule tests (see ``docs/PERFORMANCE.md``).
+With ``use_bitset=True`` (the default) Stage 3 runs on ``int`` masks
+over a :class:`~repro.core.linkspace.LinkSpace`.  A
+:class:`LocalIndex` reads the database once: for every complex object
+the bits of its atomic links, and its labelled complex out- and
+in-neighbours.  :func:`recast_masks` then takes rule masks and a home
+assignment (or, in ``STRICT`` mode, the GFP memberships) and computes
+the memberships: one pass over the indexed edges builds every local
+picture, the per-object, per-rule work is ``body & ~local == 0``, and
+the closest-type fallback is an xor popcount
+(:func:`closest_by_mask`).  :func:`recast` encodes the program into a
+fresh space and wraps the kernel; the sensitivity sweep builds one
+index on the merger's space and feeds it the merger's live masks at
+every sample (:mod:`repro.core.sensitivity`), and
+:func:`repro.core.defect.defect_masks` measures the defect on the same
+index.  ``use_bitset=False`` keeps the original frozenset evaluation
+as the oracle path (CLI ``--no-bitset``); the property suite pins that
+both produce identical assignments.  The ``recast.cover_checks`` /
+``recast.evaluations`` perf counters count the per-rule tests, one per
+(complex object, rule) per recast (see ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -48,9 +56,11 @@ from typing import (
     AbstractSet,
     Dict,
     FrozenSet,
+    Iterable,
     List,
     Mapping,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -58,11 +68,14 @@ from typing import (
 from repro.core.distance import manhattan_bodies
 from repro.core.fixpoint import greatest_fixpoint
 from repro.core.linkspace import LinkSpace
+from repro.core.sorts import sort_of
 from repro.core.typing_program import (
+    ATOMIC,
     Direction,
     TypedLink,
     TypeRule,
     TypingProgram,
+    atomic_target,
 )
 from repro.exceptions import RecastError
 from repro.graph.database import Database, ObjectId
@@ -289,6 +302,198 @@ def closest_by_mask(
     return best[2], best[0]
 
 
+#: One indexed complex edge seen from its source: the OUT row and IN
+#: row of its label (target type -> bit) and the target's position.
+_OutEdge = Tuple[Dict[str, int], Dict[str, int], int]
+
+
+class LocalIndex:
+    """Every complex object's local picture, read from ``db`` once.
+
+    Positions follow ``db.complex_objects()``.  Per position the index
+    holds:
+
+    * ``atomic`` — the bits of the object's atomic links: ``->l^0`` and,
+      where ``space`` interns it, the sorted ``->l^0:<sort>``;
+    * ``atomic_edges`` — its atomic out-edges as ``(bits, count)``
+      groups, the edges whose excess test reads those bits;
+    * ``out`` / ``inc`` — its labelled complex out- and in-neighbours.
+
+    A typed link between complex objects, ``(OUT|IN, l, type)``, is
+    read through per-label rows that :meth:`sync` folds from ``space``,
+    so bits that Stage 2 retargets mint after the build are seen.  The
+    index reads bits without interning them: a link that ``space`` has
+    not interned is held by no rule body, so it changes no subset test
+    and no deficit, and it would add the same 1 to every rule's
+    distance in the closest-type fallback.  Atomic bits are fixed at
+    the build: merges never mint an atomic link.
+    """
+
+    __slots__ = (
+        "objects", "position", "atomic", "atomic_edges", "out", "inc",
+        "_space", "_rows", "_synced",
+    )
+
+    def __init__(self, db: Database, space: LinkSpace) -> None:
+        self._space = space
+        #: label -> (OUT row, IN row), each a target type -> bit dict.
+        self._rows: Dict[str, Tuple[Dict[str, int], Dict[str, int]]] = {}
+        self._synced = 0
+        self.sync()
+        links = space.links_of((1 << space.dimension) - 1)
+        atomic_bits = {
+            (link.label, link.target): 1 << i
+            for i, link in enumerate(links)
+            if link.is_atomic_target
+        }
+        sorted_labels = {
+            label for label, target in atomic_bits if target != ATOMIC
+        }
+        self.objects: List[ObjectId] = list(db.complex_objects())
+        self.position: Dict[ObjectId, int] = {
+            obj: i for i, obj in enumerate(self.objects)
+        }
+        self.atomic: List[int] = []
+        self.atomic_edges: List[List[Tuple[int, int]]] = []
+        self.out: List[List[_OutEdge]] = [[] for _ in self.objects]
+        self.inc: List[List[Tuple[Dict[str, int], int]]] = [
+            [] for _ in self.objects
+        ]
+        position, rows = self.position, self._rows
+        for i, obj in enumerate(self.objects):
+            mask = 0
+            groups: Dict[int, int] = {}
+            for label in db.out_labels(obj):
+                out_row, in_row = rows.setdefault(label, ({}, {}))
+                plain = atomic_bits.get((label, ATOMIC), 0)
+                for dst in db.targets_view(obj, label):
+                    j = position.get(dst)
+                    if j is not None:
+                        self.out[i].append((out_row, in_row, j))
+                        self.inc[j].append((in_row, i))
+                        continue
+                    bits = plain
+                    if label in sorted_labels:
+                        target = atomic_target(sort_of(db.value(dst)))
+                        bits |= atomic_bits.get((label, target), 0)
+                    mask |= bits
+                    groups[bits] = groups.get(bits, 0) + 1
+            self.atomic.append(mask)
+            self.atomic_edges.append(list(groups.items()))
+
+    def sync(self) -> None:
+        """Fold the typed links ``space`` interned since the last call
+        into the per-label rows."""
+        space = self._space
+        if space.dimension == self._synced:
+            return
+        bit = 1 << self._synced
+        for link in space.links_of((1 << space.dimension) - bit):
+            if not link.is_atomic_target:
+                rows = self._rows.setdefault(link.label, ({}, {}))
+                rows[link.direction is Direction.IN][link.target] = bit
+            bit <<= 1
+        self._synced = space.dimension
+
+    def local_masks(self, types: Sequence[Iterable[str]]) -> List[int]:
+        """Every object's local picture, neighbours typed by ``types``
+        (one iterable of type names per position), in one edge pass."""
+        self.sync()
+        local = list(self.atomic)
+        for i, edges in enumerate(self.out):
+            own = types[i]
+            outgoing = 0
+            for out_row, in_row, j in edges:
+                for name in types[j]:
+                    outgoing |= out_row.get(name, 0)
+                incoming = 0
+                for name in own:
+                    incoming |= in_row.get(name, 0)
+                local[j] |= incoming
+            local[i] |= outgoing
+        return local
+
+    def local_mask(self, i: int, types: Sequence[Iterable[str]]) -> int:
+        """The local picture of the object at position ``i`` alone."""
+        self.sync()
+        mask = self.atomic[i]
+        for out_row, _, j in self.out[i]:
+            for name in types[j]:
+                mask |= out_row.get(name, 0)
+        for in_row, j in self.inc[i]:
+            for name in types[j]:
+                mask |= in_row.get(name, 0)
+        return mask
+
+    def members(
+        self, extents: Mapping[str, AbstractSet[ObjectId]]
+    ) -> List[Set[str]]:
+        """Per-position type sets of type -> members ``extents``."""
+        out: List[Set[str]] = [set() for _ in self.objects]
+        position = self.position
+        for type_name, members in extents.items():
+            for obj in members:
+                out[position[obj]].add(type_name)
+        return out
+
+
+def recast_masks(
+    index: LocalIndex,
+    rules: Sequence[Tuple[str, int]],
+    home: Optional[Sequence[Optional[AbstractSet[str]]]],
+    members: Optional[Sequence[AbstractSet[str]]] = None,
+    fallback: str = "closest",
+    perf: Optional[PerfRecorder] = None,
+) -> Tuple[List[FrozenSet[str]], List[int]]:
+    """The Stage 3 memberships on ``index``, from rule masks.
+
+    ``rules`` are ``(name, body_mask)`` pairs over the index's space;
+    ``home`` gives per position the Stage 2 home types (``None`` for an
+    object without a home entry; an empty set means "explicitly
+    untyped").  Without ``members`` this is ``HOME_GUIDED``: home types
+    plus every rule the local picture under ``home`` covers.  With
+    ``members`` (the ``STRICT`` GFP memberships per position) only the
+    fallback runs.  ``fallback="closest"`` places each object left with
+    no type, and not explicitly untyped, in its closest rule under the
+    pre-fallback assignment.  Returns the final types per position and
+    the positions the fallback placed.
+    """
+    if fallback not in ("closest", "none"):
+        raise RecastError(f"unknown fallback {fallback!r}")
+    recorder = _resolve_perf(perf)
+    size = len(index.objects)
+    if members is None:
+        if home is None:
+            raise RecastError("HOME_GUIDED recasting requires a home assignment")
+        names = {name for name, _ in rules}
+        assigned = [
+            {t for t in homes if t in names} if homes else set()
+            for homes in home
+        ]
+        local = index.local_masks([homes or () for homes in home])
+        for types, mask in zip(assigned, local):
+            uncovered = ~mask
+            types.update(
+                name for name, body in rules if not body & uncovered
+            )
+        recorder.incr("recast.cover_checks", size * len(rules))
+        recorder.incr("recast.evaluations", size * len(rules))
+    else:
+        assigned = [set(types) for types in members]
+
+    placed: List[int] = []
+    if fallback == "closest" and rules:
+        reference = [tuple(types) for types in assigned]
+        for i, types in enumerate(assigned):
+            if types or (home is not None and home[i] is not None
+                         and not home[i]):
+                continue
+            chosen, _ = closest_by_mask(rules, index.local_mask(i, reference))
+            types.add(chosen)
+            placed.append(i)
+    return [frozenset(types) for types in assigned], placed
+
+
 def recast(
     program: TypingProgram,
     db: Database,
@@ -318,30 +523,72 @@ def recast(
     perf:
         Optional recorder for the ``recast.*`` counters.
     use_bitset:
-        When true (the default) the HOME_GUIDED satisfaction loop and
-        the closest-type fallback run on the link-space bitset kernel;
-        ``False`` keeps the frozenset oracle path.  Results are
-        identical either way.
+        When true (the default) the memberships and the closest-type
+        fallback run on the mask kernel (:func:`recast_masks` over a
+        :class:`LocalIndex` read for this call); ``False`` keeps the
+        frozenset oracle path.  Results are identical either way.
     """
     if fallback not in ("closest", "none"):
         raise RecastError(f"unknown fallback {fallback!r}")
     if mode is RecastMode.HOME_GUIDED and home is None:
         raise RecastError("HOME_GUIDED recasting requires a home assignment")
-    recorder = _resolve_perf(perf)
+    run = _recast_bitset if use_bitset else _recast_sets
+    final, fallback_objects = run(
+        program, db, home, mode, fallback, _resolve_perf(perf)
+    )
+    extents: Dict[str, Set[ObjectId]] = {name: set() for name in program.type_names()}
+    for obj, types in final.items():
+        for type_name in types:
+            extents[type_name].add(obj)
+    return RecastResult(
+        assignment=final,
+        extents={name: frozenset(members) for name, members in extents.items()},
+        fallback_objects=frozenset(fallback_objects),
+        untyped_objects=frozenset(o for o, t in final.items() if not t),
+    )
 
-    # The kernel state: rule bodies encoded once per call.
-    space: Optional[LinkSpace] = None
-    rule_masks: Optional[List[Tuple[str, int]]] = None
+
+def _recast_bitset(
+    program: TypingProgram,
+    db: Database,
+    home: Optional[Assignment],
+    mode: RecastMode,
+    fallback: str,
+    perf: PerfRecorder,
+) -> Tuple[Dict[ObjectId, FrozenSet[str]], Set[ObjectId]]:
+    """:func:`recast` on the mask kernel: encode, index, then
+    :func:`recast_masks`."""
+    space = LinkSpace()
+    with perf.span("linkspace.encode"):
+        rule_masks = [
+            (rule.name, space.encode(rule.body)) for rule in program.rules()
+        ]
+    perf.incr("linkspace.encodes", len(rule_masks))
+    index = LocalIndex(db, space)
+    members = None
+    if mode is RecastMode.STRICT:
+        fixpoint = greatest_fixpoint(program, db, perf=perf)
+        members = index.members(fixpoint.extents)
+    homes = None if home is None else [home.get(obj) for obj in index.objects]
+    types, placed = recast_masks(
+        index, rule_masks, homes, members, fallback, perf
+    )
+    return (
+        dict(zip(index.objects, types)),
+        {index.objects[i] for i in placed},
+    )
+
+
+def _recast_sets(
+    program: TypingProgram,
+    db: Database,
+    home: Optional[Assignment],
+    mode: RecastMode,
+    fallback: str,
+    perf: PerfRecorder,
+) -> Tuple[Dict[ObjectId, FrozenSet[str]], Set[ObjectId]]:
+    """:func:`recast` on frozenset bodies: the oracle path."""
     uses_sorts = _program_uses_sorts(program)
-    if use_bitset and len(program) > 0:
-        space = LinkSpace()
-        with recorder.span("linkspace.encode"):
-            rule_masks = [
-                (rule.name, space.encode(rule.body))
-                for rule in program.rules()
-            ]
-        recorder.incr("linkspace.encodes", len(rule_masks))
-
     assignment: Dict[ObjectId, Set[str]] = {
         obj: set() for obj in db.complex_objects()
     }
@@ -358,26 +605,13 @@ def recast(
             if homes:
                 assignment[obj].update(t for t in homes if t in program)
         # Add every type satisfied one-step under the home assignment.
-        # uses_sorts, the encoded rules and the local pictures
-        # are computed once per call (not per satisfied_types
-        # invocation) on this hot path.
-        if rule_masks is not None:
-            assert space is not None
-            for obj in assignment:
-                local_mask = object_local_mask(
-                    db, obj, home, space, include_sorts=uses_sorts
-                )
-                assignment[obj].update(
-                    _satisfied_for_mask(rule_masks, local_mask, recorder)
-                )
-        else:
-            for obj in assignment:
-                local = object_local_body(
-                    db, obj, home, include_sorts=uses_sorts
-                )
-                assignment[obj].update(
-                    _satisfied_for_local(program, local, recorder)
-                )
+        for obj in assignment:
+            local = object_local_body(
+                db, obj, home, include_sorts=uses_sorts
+            )
+            assignment[obj].update(
+                _satisfied_for_local(program, local, perf)
+            )
 
     explicitly_untyped: Set[ObjectId] = set()
     if home is not None:
@@ -393,28 +627,12 @@ def recast(
         for obj, types in assignment.items():
             if types or obj in explicitly_untyped:
                 continue
-            if rule_masks is not None:
-                assert space is not None
-                local_mask = object_local_mask(
-                    db, obj, reference, space, include_sorts=uses_sorts
-                )
-                chosen, _ = closest_by_mask(rule_masks, local_mask)
-            else:
-                chosen, _ = closest_type(program, db, obj, reference)
+            chosen, _ = closest_type(program, db, obj, reference)
             types.add(chosen)
             fallback_objects.add(obj)
 
     final = {obj: frozenset(types) for obj, types in assignment.items()}
-    extents: Dict[str, Set[ObjectId]] = {name: set() for name in program.type_names()}
-    for obj, types in final.items():
-        for type_name in types:
-            extents[type_name].add(obj)
-    return RecastResult(
-        assignment=final,
-        extents={name: frozenset(members) for name, members in extents.items()},
-        fallback_objects=frozenset(fallback_objects),
-        untyped_objects=frozenset(o for o, t in final.items() if not t),
-    )
+    return final, fallback_objects
 
 
 def type_new_object(

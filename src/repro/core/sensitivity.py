@@ -15,6 +15,19 @@ measures the defect, producing the two Figure 6 series:
   performed so far (monotone non-increasing in ``k``), and
 * ``defect`` — excess + deficit of the recast data at that ``k``.
 
+On the bitset path (the default) a sample runs on the merger's live
+masks: one :class:`~repro.core.recast.LocalIndex` is read from the
+database on the merger's :class:`~repro.core.linkspace.LinkSpace` per
+sweep, and each sample pushes the starting homes through the merge
+map, computes the memberships with
+:func:`~repro.core.recast.recast_masks` (``STRICT`` takes them from
+the GFP of the decoded program) and the excess and deficit with
+:func:`~repro.core.defect.defect_masks` — no program decoded, no body
+encoded, no database call.  ``use_bitset=False`` runs
+``merger.result()``, the frozenset :func:`~repro.core.recast.recast`
+and the per-link defect: the oracle.  Spans ``sweep.recast`` and
+``sweep.defect`` split each ``sweep.sample``.
+
 Knee detection (:func:`find_knee`) uses the standard
 maximum-distance-to-chord rule on the defect curve, and
 :func:`optimal_range` returns the paper's "small range": the ``k``
@@ -39,10 +52,11 @@ from typing import (
 )
 
 from repro.core.clustering import GreedyMerger, MergePolicy
-from repro.core.defect import compute_defect
+from repro.core.defect import compute_defect, defect_masks
 from repro.core.distance import WeightedDistance, delta_2
+from repro.core.fixpoint import greatest_fixpoint
 from repro.core.perfect import PerfectTyping, minimal_perfect_typing
-from repro.core.recast import RecastMode, recast
+from repro.core.recast import LocalIndex, RecastMode, recast, recast_masks
 from repro.exceptions import ClusteringError, ExecutionInterruptedError
 from repro.graph.database import Database, ObjectId
 from repro.perf import PerfRecorder, resolve as _resolve_perf
@@ -226,17 +240,18 @@ def sensitivity_sweep(
         so the caller still gets the best knee found.
     perf:
         Optional :class:`repro.perf.PerfRecorder`; threaded into the
-        merger, plus ``sweep.samples`` and the ``sweep.sample`` timer.
+        merger, plus ``sweep.samples`` and the ``sweep.sample`` timer
+        with its ``sweep.recast`` and ``sweep.defect`` parts.
     sample_at:
         Explicit sample set overriding the computed ``step`` grid
         (values outside ``[min_k, max_k]`` are dropped).  The parallel
         sweep uses this to hand each worker a contiguous block of
         ``k`` values while replaying the same merge sequence.
     use_bitset:
-        Run the merger and the per-sample recasts on the link-space
-        bitset kernel (the default); ``False`` selects the frozenset
-        oracle path (``--no-bitset``).  Results are identical either
-        way.
+        Run the merger and every sample on the link-space bitset kernel
+        (the default): one local-picture index per sweep, the merger's
+        live masks per sample.  ``False`` selects the frozenset oracle
+        path (``--no-bitset``).  Results are identical either way.
 
     Returns a :class:`SensitivityResult` sorted by ascending ``k``.
     """
@@ -264,6 +279,52 @@ def sensitivity_sweep(
     )
     stop_k = min(sample_ks, default=merger.num_types)
 
+    if use_bitset:
+        assert merger.link_space is not None
+        index = LocalIndex(db, merger.link_space)
+        start_homes = [assignment.get(obj) for obj in index.objects]
+
+        def measure() -> Tuple[int, int]:
+            """One sample on the merger's live masks."""
+            bodies = merger.bodies
+            merge_map = merger.merge_map()
+            with perf.span("sweep.recast"):
+                home = [
+                    None if homes is None else frozenset(
+                        merge_map[h] for h in homes
+                        if merge_map.get(h) is not None
+                    )
+                    for homes in start_homes
+                ]
+                members = None
+                if mode is RecastMode.STRICT:
+                    fixpoint = greatest_fixpoint(
+                        merger.current_program(), db, perf=perf
+                    )
+                    members = index.members(fixpoint.extents)
+                final, _ = recast_masks(
+                    index, list(bodies.items()), home, members, fallback,
+                    perf,
+                )
+            with perf.span("sweep.defect"):
+                return defect_masks(index, bodies, final)
+    else:
+        def measure() -> Tuple[int, int]:
+            """One sample on the frozenset oracle path."""
+            with perf.span("sweep.recast"):
+                snapshot = merger.result()
+                home = snapshot.map_assignment(assignment)
+                recast_result = recast(
+                    snapshot.program, db, home=home, mode=mode,
+                    fallback=fallback, perf=perf, use_bitset=False,
+                )
+            with perf.span("sweep.defect"):
+                report = compute_defect(
+                    snapshot.program, db, recast_result.assignment,
+                    use_bitset=False,
+                )
+            return report.excess.count, report.deficit.count
+
     points: List[SensitivityPoint] = []
 
     def sample() -> None:
@@ -271,22 +332,14 @@ def sensitivity_sweep(
             budget.charge()
         perf.incr("sweep.samples")
         with perf.span("sweep.sample"):
-            snapshot = merger.result()
-            home = snapshot.map_assignment(assignment)
-            recast_result = recast(
-                snapshot.program, db, home=home, mode=mode,
-                fallback=fallback, perf=perf, use_bitset=use_bitset,
-            )
-            report = compute_defect(
-                snapshot.program, db, recast_result.assignment
-            )
+            excess, deficit = measure()
         points.append(
             SensitivityPoint(
                 k=merger.num_types,
                 total_distance=merger.total_cost,
-                defect=report.total,
-                excess=report.excess.count,
-                deficit=report.deficit.count,
+                defect=excess + deficit,
+                excess=excess,
+                deficit=deficit,
             )
         )
 

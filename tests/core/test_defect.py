@@ -1,4 +1,10 @@
-"""Unit tests for the excess/deficit/defect measures (Section 2)."""
+"""Unit tests for the excess/deficit/defect measures (Section 2).
+
+Every count is checked on both paths: the mask kernel
+(``compute_defect(use_bitset=True)``, the default) and the per-link
+oracle (``use_bitset=False``, and :func:`compute_excess` /
+:func:`compute_deficit` themselves).
+"""
 
 import pytest
 
@@ -6,6 +12,14 @@ from repro.core.defect import compute_defect, compute_deficit, compute_excess
 from repro.core.notation import parse_program
 from repro.core.typing_program import TypingProgram, make_rule
 from repro.graph.builder import DatabaseBuilder
+
+PATHS = (True, False)
+
+
+def counts(program, db, assignment, use_bitset):
+    """``(excess, deficit)`` of ``compute_defect`` on one path."""
+    report = compute_defect(program, db, assignment, use_bitset=use_bitset)
+    return report.excess.count, report.deficit.count
 
 
 class TestExample22:
@@ -19,31 +33,38 @@ class TestExample22:
     }
 
     def test_tau1_defect_is_two(self, figure3_db, example22_program):
-        report = compute_defect(
-            example22_program, figure3_db, self.TAU1, collect=True
-        )
-        assert report.excess.count == 1
-        assert report.deficit.count == 1
-        assert report.total == 2
+        for use_bitset in PATHS:
+            report = compute_defect(
+                example22_program, figure3_db, self.TAU1,
+                use_bitset=use_bitset,
+            )
+            assert report.excess.count == 1
+            assert report.deficit.count == 1
+            assert report.total == 2
 
     def test_tau1_details(self, figure3_db, example22_program):
-        report = compute_defect(
-            example22_program, figure3_db, self.TAU1, collect=True
-        )
-        # The invented fact: o4 needs an incoming a-edge from type1.
-        (obj, link), = report.deficit.missing
-        assert obj == "o4"
-        assert str(link) == "<-a^type1"
-        # The disregarded fact: o4's d-edge is used by no type.
-        (edge,) = report.excess.unused_edges
-        assert edge.src == "o4" and edge.label == "d"
+        for use_bitset in PATHS:
+            # Itemising always runs per link, whatever the path.
+            report = compute_defect(
+                example22_program, figure3_db, self.TAU1, collect=True,
+                use_bitset=use_bitset,
+            )
+            # The invented fact: o4 needs an incoming a-edge from type1.
+            (obj, link), = report.deficit.missing
+            assert obj == "o4"
+            assert str(link) == "<-a^type1"
+            # The disregarded fact: o4's d-edge is used by no type.
+            (edge,) = report.excess.unused_edges
+            assert edge.src == "o4" and edge.label == "d"
 
     def test_tau2_defect_is_one(self, figure3_db, example22_program):
+        for use_bitset in PATHS:
+            assert counts(
+                example22_program, figure3_db, self.TAU2, use_bitset
+            ) == (1, 0)
         report = compute_defect(
             example22_program, figure3_db, self.TAU2, collect=True
         )
-        assert report.excess.count == 1
-        assert report.deficit.count == 0
         (edge,) = report.excess.unused_edges
         assert edge.src == "o4" and edge.label == "c"
 
@@ -57,12 +78,19 @@ class TestExcess:
         assignment = greatest_fixpoint(p0_program, figure2_db).assignment()
         report = compute_excess(p0_program, figure2_db, assignment)
         assert report.count == 0
+        for use_bitset in PATHS:
+            excess, _ = counts(p0_program, figure2_db, assignment, use_bitset)
+            assert excess == 0
 
     def test_untyped_objects_make_all_their_edges_excess(
         self, figure2_db, p0_program
     ):
         report = compute_excess(p0_program, figure2_db, {})
         assert report.count == figure2_db.num_links
+        for use_bitset in PATHS:
+            assert counts(p0_program, figure2_db, {}, use_bitset) == (
+                figure2_db.num_links, 0
+            )
 
     def test_edge_used_via_incoming_requirement(self):
         db = DatabaseBuilder().link("parent", "child", "has").build()
@@ -70,6 +98,8 @@ class TestExcess:
         assignment = {"parent": {"p"}, "child": {"c"}}
         report = compute_excess(program, db, assignment)
         assert report.count == 0
+        for use_bitset in PATHS:
+            assert counts(program, db, assignment, use_bitset) == (0, 0)
 
     def test_collect_edges_flag(self, figure2_db, p0_program):
         report = compute_excess(
@@ -83,6 +113,10 @@ class TestExcess:
         assignment = {"g": {"ghost-type"}}
         report = compute_excess(p0_program, figure2_db, assignment)
         assert report.count == figure2_db.num_links
+        for use_bitset in PATHS:
+            assert counts(p0_program, figure2_db, assignment, use_bitset) == (
+                figure2_db.num_links, 0
+            )
 
 
 class TestDeficit:
@@ -94,6 +128,9 @@ class TestDeficit:
         assignment = greatest_fixpoint(p0_program, figure2_db).assignment()
         report = compute_deficit(p0_program, figure2_db, assignment)
         assert report.count == 0
+        for use_bitset in PATHS:
+            _, deficit = counts(p0_program, figure2_db, assignment, use_bitset)
+            assert deficit == 0
 
     def test_requirements_deduplicated_across_roles(self):
         """Two assigned types requiring the same missing typed link
@@ -107,12 +144,17 @@ class TestDeficit:
         )
         report = compute_deficit(program, db, {"o": {"t1", "t2"}})
         assert report.count == 1
+        for use_bitset in PATHS:
+            roles = {"o": {"t1", "t2"}}
+            assert counts(program, db, roles, use_bitset) == (0, 1)
 
     def test_deficit_counts_distinct_requirements(self):
         db = DatabaseBuilder().complex("o").build()
         program = TypingProgram([make_rule("t", atomic=["x", "y"])])
         report = compute_deficit(program, db, {"o": {"t"}})
         assert report.count == 2
+        for use_bitset in PATHS:
+            assert counts(program, db, {"o": {"t"}}, use_bitset) == (0, 2)
 
     def test_out_requirement_needs_target_type(self):
         """An edge to an object NOT assigned the target type does not
@@ -123,6 +165,13 @@ class TestDeficit:
         assert missing.count == 1
         witnessed = compute_deficit(program, db, {"a": {"t"}, "b": {"u"}})
         assert witnessed.count == 0
+        for use_bitset in PATHS:
+            assert counts(
+                program, db, {"a": {"t"}, "b": set()}, use_bitset
+            ) == (1, 1)
+            assert counts(
+                program, db, {"a": {"t"}, "b": {"u"}}, use_bitset
+            ) == (0, 0)
 
     def test_collect_missing_flag(self):
         db = DatabaseBuilder().complex("o").build()
@@ -133,12 +182,27 @@ class TestDeficit:
         assert report.count == 1
         assert report.missing == ()
 
+    @pytest.mark.parametrize("use_bitset", PATHS)
+    def test_one_fact_serving_two_objects_counts_twice(self, use_bitset):
+        """The documented over-count: the deficit is an upper bound when
+        one invented fact could serve two existing objects.  ``o``
+        misses ``->a^c2`` and ``o'`` misses ``<-a^c1``; the single fact
+        ``link(o, o', a)`` repairs both, yet the count is 2."""
+        program = parse_program("c1 = ->a^c2\nc2 = <-a^c1")
+        assignment = {"o": {"c1"}, "o'": {"c2"}}
+        db = DatabaseBuilder().complex("o").complex("o'").build()
+        assert counts(program, db, assignment, use_bitset) == (0, 2)
+        db.add_link("o", "o'", "a")
+        assert counts(program, db, assignment, use_bitset) == (0, 0)
+
 
 class TestDefectReport:
     def test_total_and_summary(self, figure3_db, example22_program):
-        report = compute_defect(
-            example22_program, figure3_db, TestExample22.TAU1
-        )
-        assert report.total == report.excess.count + report.deficit.count
-        assert "defect 2" in report.summary()
-        assert "excess 1" in report.summary()
+        for use_bitset in PATHS:
+            report = compute_defect(
+                example22_program, figure3_db, TestExample22.TAU1,
+                use_bitset=use_bitset,
+            )
+            assert report.total == report.excess.count + report.deficit.count
+            assert "defect 2" in report.summary()
+            assert "excess 1" in report.summary()

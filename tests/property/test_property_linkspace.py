@@ -14,7 +14,8 @@ every level:
   brute-force argmin over every live pair on frozenset bodies for every
   policy, paper distance, empty-type setting and frozen subset;
 * the full Stage 1 -> 3 pipeline (program, assignment, defect) and the
-  Figure 6 sweep on random databases;
+  Figure 6 sweep on random databases, under each recast, merge, role,
+  empty-type, sort and prior knob;
 * the cluster machinery (k-median, agglomeration) fed by
   :class:`CachedBodyDistance` vs a plain closure over raw bodies.
 """
@@ -29,9 +30,14 @@ from repro.cluster.kmedian import greedy_k_median
 from repro.core.clustering import EMPTY_TYPE, GreedyMerger, MergePolicy
 from repro.core.distance import manhattan_bodies, named_distances
 from repro.core.linkspace import BodyKernel, CachedBodyDistance, LinkSpace
+from repro.core.notation import parse_program
 from repro.core.pipeline import SchemaExtractor
+from repro.core.prior import PriorKnowledge
+from repro.core.recast import RecastMode
+from repro.core.sorts import sorted_local_rule
 from repro.core.typing_program import TypedLink, TypeRule, TypingProgram
 from repro.graph.database import Database
+from tests.property.test_property_bisim import sort_twin_databases
 
 labels = st.sampled_from(["a", "b", "c", "d"])
 objects = st.sampled_from([f"o{i}" for i in range(6)])
@@ -301,25 +307,63 @@ class TestMergerTraceEquivalence:
         ] == [(r.absorber, r.absorbed, r.cost) for r in plain.records]
 
 
+#: The knobs the pipeline equivalence runs under, one at a time.
+PIPELINE_KNOBS = {
+    "plain": {},
+    "roles": {"use_roles": True},
+    "empty_type": {"allow_empty_type": True},
+    "no_fallback": {"fallback": "none"},
+    "strict": {"recast_mode": RecastMode.STRICT},
+    "sorted": {"local_rule_fn": sorted_local_rule},
+    "union": {"policy": MergePolicy.UNION},
+    "weighted_center": {"policy": MergePolicy.WEIGHTED_CENTER},
+    "prior": {},
+}
+
+
+def _knob_case(knob, data):
+    """A database and the extractor options for ``knob``.  The sorted
+    knob draws sort twins (objects that differ only in the sorts of
+    their atomic targets); the prior knob adds a known type, frozen in
+    Stage 2, with one known member."""
+    if knob == "sorted":
+        db = data.draw(sort_twin_databases())
+    else:
+        db = data.draw(databases())
+    options = dict(PIPELINE_KNOBS[knob])
+    if knob == "prior":
+        options["prior"] = PriorKnowledge(
+            program=parse_program("known = ->a^0"),
+            assignment={min(db.complex_objects()): {"known"}},
+            weight_boost=1.0,
+        )
+    return db, options
+
+
 class TestPipelineEquivalence:
-    @given(databases(), st.data())
+    @pytest.mark.parametrize("knob", sorted(PIPELINE_KNOBS))
+    @given(st.data())
     @settings(max_examples=25, deadline=None)
-    def test_extract_identical(self, db, data):
-        probe = SchemaExtractor(db, use_bitset=True)
+    def test_extract_identical(self, knob, data):
+        db, options = _knob_case(knob, data)
+        probe = SchemaExtractor(db, use_bitset=True, **options)
         n = len(probe.stage1().program)
         k = data.draw(st.integers(1, n))
-        bitset = SchemaExtractor(db, use_bitset=True).extract(k=k)
-        plain = SchemaExtractor(db, use_bitset=False).extract(k=k)
+        bitset = SchemaExtractor(db, use_bitset=True, **options).extract(k=k)
+        plain = SchemaExtractor(db, use_bitset=False, **options).extract(k=k)
         assert bitset.program == plain.program
         assert bitset.assignment == plain.assignment
-        assert bitset.recast_result.extents == plain.recast_result.extents
+        assert bitset.recast_result == plain.recast_result
         assert bitset.defect.total == plain.defect.total
+        assert bitset.defect.excess.count == plain.defect.excess.count
 
-    @given(databases())
+    @pytest.mark.parametrize("knob", sorted(PIPELINE_KNOBS))
+    @given(st.data())
     @settings(max_examples=15, deadline=None)
-    def test_sweep_identical(self, db):
-        bitset = SchemaExtractor(db, use_bitset=True).sweep()
-        plain = SchemaExtractor(db, use_bitset=False).sweep()
+    def test_sweep_identical(self, knob, data):
+        db, options = _knob_case(knob, data)
+        bitset = SchemaExtractor(db, use_bitset=True, **options).sweep()
+        plain = SchemaExtractor(db, use_bitset=False, **options).sweep()
         assert bitset.points == plain.points
 
 

@@ -198,10 +198,17 @@ def test_sweep_perf_report(oem_file, tmp_path):
     import json
 
     report = tmp_path / "sweep-perf.json"
-    assert main(["sweep", oem_file, "--perf-report", str(report)]) == 0
-    data = json.loads(report.read_text(encoding="utf-8"))
-    assert data["counters"]["sweep.samples"] > 0
-    assert data["counters"]["merge.row_scans"] > 0
+    for flags in ([], ["--no-bitset"]):
+        assert main(
+            ["sweep", oem_file, "--perf-report", str(report), *flags]
+        ) == 0
+        data = json.loads(report.read_text(encoding="utf-8"))
+        samples = data["counters"]["sweep.samples"]
+        assert samples > 0
+        assert data["counters"]["merge.row_scans"] > 0
+        # Each sample's split: its memberships and its defect.
+        for part in ("sweep.recast", "sweep.defect"):
+            assert data["timers"][part]["count"] == samples, (flags, part)
 
 
 @pytest.fixture
