@@ -43,6 +43,12 @@ set (see ``docs/PERFORMANCE.md``):
 * a row whose cheapest absorber is in ``changed`` is repriced, and
   rescanned only if that cost rose;
 * every row not rescanned then tests just the ``changed`` columns.
+
+:meth:`GreedyMerger.replay` applies a recorded trace instead of
+searching: it merges pair after pair without touching the rows and
+prices every row once at the end, leaving the state :meth:`run_to`
+would.  The auto-``k`` pipeline replays the sensitivity sweep's trace
+down to the knee, and checkpoint restore a checkpoint's.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -158,7 +165,8 @@ class Stage2Result:
 
 
 class GreedyMerger:
-    """Stateful greedy merger; drive with :meth:`step` or :meth:`run_to`.
+    """Stateful greedy merger; drive with :meth:`step` or :meth:`run_to`,
+    or apply a recorded trace with :meth:`replay`.
 
     Parameters
     ----------
@@ -535,17 +543,13 @@ class GreedyMerger:
             (cost, absorber, absorbed)
             for absorbed, (cost, absorber) in self._rows.items()
         )
-        return self._execute(absorber, absorbed)
+        record, changed = self._merge(absorber, absorbed)
+        self._update_rows(absorbed, changed)
+        return record
 
-    def merge_pair(self, absorber: str, absorbed: str) -> MergeRecord:
-        """Execute one *specific* merge instead of the cheapest one.
-
-        The cost paid is the current ``delta`` between the pair, i.e.
-        exactly what :meth:`step` would pay if this pair happened to be
-        the cheapest.  This is the replay primitive behind
-        :mod:`repro.runtime.checkpoint`: re-applying a recorded trace
-        reconstructs the interrupted merger state deterministically.
-        """
+    def _check_pair(self, absorber: str, absorbed: str) -> None:
+        """Raise :class:`ClusteringError` unless the merge is possible now
+        (a replayed trace may come from a checkpoint file)."""
         if absorbed not in self._bodies:
             raise ClusteringError(f"unknown or already-merged type {absorbed!r}")
         if absorbed in self._frozen:
@@ -559,10 +563,14 @@ class GreedyMerger:
             raise ClusteringError(f"unknown or already-merged type {absorber!r}")
         if absorber == absorbed:
             raise ClusteringError(f"cannot merge {absorbed!r} into itself")
-        return self._execute(absorber, absorbed)
 
-    def _execute(self, absorber: str, absorbed: str) -> MergeRecord:
-        """Apply one merge (shared by :meth:`step` and :meth:`merge_pair`)."""
+    def _merge(
+        self, absorber: str, absorbed: str
+    ) -> Tuple[MergeRecord, AbstractSet[str]]:
+        """The merge half of a step: bodies, weights, merge map, cost and
+        record.  Returns the record and the types whose costs moved (the
+        absorber and every retargeted type); the rows are left as they
+        were."""
         cost, d = self._cost(absorber, absorbed)
         target = None if absorber == EMPTY_TYPE else absorber
         if target is not None:
@@ -586,7 +594,6 @@ class GreedyMerger:
             if current == absorbed:
                 self._merge_map[original] = target
 
-        self._update_rows(absorbed, changed)
         self._perf.incr("merge.steps")
         if target is not None:
             self._perf.incr("merge.manhattan_evals")
@@ -600,7 +607,54 @@ class GreedyMerger:
             types_after=len(self._bodies),
         )
         self._records.append(record)
-        return record
+        return record, changed
+
+    def replay(
+        self,
+        pairs: Iterable[Tuple[str, str]],
+        budget: Optional["Budget"] = None,
+        on_step: Optional[Callable[["GreedyMerger"], None]] = None,
+    ) -> None:
+        """Apply recorded ``(absorber, absorbed)`` merges in order.
+
+        Each pair is checked (it must name two live types, or the
+        empty type when that is enabled, and not absorb a frozen type)
+        and merged at its current cost, as :meth:`step` would merge it,
+        but the row minima are not restored after each merge: every
+        row is priced once, from scratch, when the replay ends.
+        Replaying the first ``n - k`` pairs of a trace that :meth:`step`
+        produced leaves the state :meth:`run_to` ``(k)`` leaves —
+        program with its rule order, merge map, weights, records, total
+        cost and rows — so a later :meth:`step` continues along the same
+        trace.  The auto-``k`` pipeline replays the sensitivity sweep's
+        trace down to the knee, and
+        :func:`repro.runtime.checkpoint.restore_merger` a checkpoint's.
+
+        ``budget`` and ``on_step`` behave as in :meth:`run_to`: one work
+        unit is charged before each merge and the callback runs after
+        it.  When the budget trips, the merger stays at its last
+        completed merge, with its rows priced.
+        """
+        start, done = len(self._bodies), 0
+        try:
+            for absorber, absorbed in pairs:
+                if budget is not None:
+                    budget.charge()
+                self._check_pair(absorber, absorbed)
+                self._merge(absorber, absorbed)
+                done += 1
+                if on_step is not None:
+                    on_step(self)
+        finally:
+            if done:
+                self._rows.clear()
+                for name in self._bodies:
+                    if name not in self._frozen:
+                        self._scan_row(name)
+        logger.info(
+            "stage2: replayed %d merge(s), %d -> %d types (total cost %.4f)",
+            done, start, len(self._bodies), self._total_cost,
+        )
 
     def run_to(
         self,

@@ -37,11 +37,14 @@ assigned types; one pass over the indexed edges builds every local
 picture under the assignment and marks an edge used when its out-bits
 hit the source's ``required`` or its in-bits hit the target's (an
 atomic edge carries ``->l^0`` and ``->l^0:<sort>``, so a rule holding
-either uses it); the deficit is ``popcount(required & ~local)`` summed
-over objects.  :func:`compute_defect` runs it by default
-(``use_bitset=True``) on an index read for the call, and the
-sensitivity sweep runs it at every sample on one index and the
-merger's live masks.  The per-link :func:`compute_excess` /
+either uses it); the deficit is ``popcount(required & ~local)``.  It
+leaves per-object terms — ``required``, the unused out-edges of the
+object (an edge counts at its source) and its deficit — whose sums are
+the two counts.  :func:`compute_defect` runs it by default
+(``use_bitset=True``) on an index read for the call.  The sensitivity
+sweep runs it on its first sample and then carries the terms,
+re-deriving single objects with :func:`excess_at` and
+:func:`deficit_at`.  The per-link :func:`compute_excess` /
 :func:`compute_deficit` are the oracle (``use_bitset=False``) and the
 path that itemises (``collect=True``).
 """
@@ -243,13 +246,18 @@ def defect_masks(
     index: LocalIndex,
     bodies: Mapping[str, int],
     assignment: Sequence[AbstractSet[str]],
-) -> Tuple[int, int]:
-    """``(excess, deficit)`` of a per-position assignment on ``index``.
+) -> Tuple[List[int], List[int], List[int]]:
+    """Per-position defect terms of an assignment on ``index``.
 
     ``bodies`` maps each type to its rule-body mask over the index's
-    space; assigned names without a body impose nothing.  Equal to
-    :func:`compute_excess` / :func:`compute_deficit` of the same
-    program and assignment (see the module docstring).
+    space; assigned names without a body impose nothing.  Returns, per
+    position, ``required`` (the OR of the assigned bodies), the excess
+    term (the unused out-edges of the object: an edge is counted at its
+    source) and the deficit term (``popcount(required & ~local)``).
+    Their sums are :func:`compute_excess` / :func:`compute_deficit` of
+    the same program and assignment (see the module docstring);
+    :func:`excess_at` and :func:`deficit_at` re-derive one position's
+    terms.
     """
     index.sync()
     required: List[int] = []
@@ -259,12 +267,13 @@ def defect_masks(
             mask |= bodies.get(type_name, 0)
         required.append(mask)
     local = list(index.atomic)
-    excess = 0
+    excess: List[int] = []
     for i, edges in enumerate(index.out):
         need = required[i]
+        unused = 0
         for bits, count in index.atomic_edges[i]:
             if not need & bits:
-                excess += count
+                unused += count
         own = assignment[i]
         outgoing = 0
         for out_row, in_row, j in edges:
@@ -277,12 +286,48 @@ def defect_masks(
             outgoing |= out_bits
             local[j] |= in_bits
             if not (need & out_bits or required[j] & in_bits):
-                excess += 1
+                unused += 1
         local[i] |= outgoing
-    deficit = sum(
+        excess.append(unused)
+    deficit = [
         (need & ~mask).bit_count() for need, mask in zip(required, local)
-    )
-    return excess, deficit
+    ]
+    return required, excess, deficit
+
+
+def excess_at(
+    index: LocalIndex,
+    i: int,
+    required: Sequence[int],
+    assignment: Sequence[AbstractSet[str]],
+) -> int:
+    """:func:`defect_masks`' excess term of position ``i`` alone."""
+    need = required[i]
+    unused = 0
+    for bits, count in index.atomic_edges[i]:
+        if not need & bits:
+            unused += count
+    own = assignment[i]
+    for out_row, in_row, j in index.out[i]:
+        out_bits = 0
+        for type_name in assignment[j]:
+            out_bits |= out_row.get(type_name, 0)
+        in_bits = 0
+        for type_name in own:
+            in_bits |= in_row.get(type_name, 0)
+        if not (need & out_bits or required[j] & in_bits):
+            unused += 1
+    return unused
+
+
+def deficit_at(
+    index: LocalIndex,
+    i: int,
+    required: Sequence[int],
+    assignment: Sequence[AbstractSet[str]],
+) -> int:
+    """:func:`defect_masks`' deficit term of position ``i`` alone."""
+    return (required[i] & ~index.local_mask(i, assignment)).bit_count()
 
 
 def compute_defect(
@@ -313,10 +358,10 @@ def compute_defect(
         index = LocalIndex(db, space)
         empty: FrozenSet[str] = frozenset()
         final = [assignment.get(obj, empty) for obj in index.objects]
-        excess, deficit = defect_masks(index, bodies, final)
+        _, excess, deficit = defect_masks(index, bodies, final)
         return DefectReport(
-            excess=ExcessReport(count=excess, unused_edges=()),
-            deficit=DeficitReport(count=deficit, missing=()),
+            excess=ExcessReport(count=sum(excess), unused_edges=()),
+            deficit=DeficitReport(count=sum(deficit), missing=()),
         )
     return DefectReport(
         excess=compute_excess(program, db, assignment, collect_edges=collect),

@@ -479,7 +479,17 @@ class SchemaExtractor:
         writer = self._checkpoint_writer(checkpoint_path, k, checkpoint_every)
         try:
             with self._perf.span("pipeline.stage2"):
-                stage2 = merger.run_to(k, budget=budget, on_step=writer)
+                if sensitivity is not None and resumed is None:
+                    # The sweep walked this merge sequence already:
+                    # replay its first n - k merges down to the knee.
+                    merger.replay(
+                        sensitivity.trace[: merger.num_types - k],
+                        budget=budget,
+                        on_step=writer,
+                    )
+                    stage2 = merger.result()
+                else:
+                    stage2 = merger.run_to(k, budget=budget, on_step=writer)
         except ExecutionInterruptedError as exc:
             logger.warning("budget exhausted during stage2: %s", exc)
             if checkpoint_path is not None:

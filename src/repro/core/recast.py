@@ -36,16 +36,21 @@ assignment (or, in ``STRICT`` mode, the GFP memberships) and computes
 the memberships: one pass over the indexed edges builds every local
 picture, the per-object, per-rule work is ``body & ~local == 0``, and
 the closest-type fallback is an xor popcount
-(:func:`closest_by_mask`).  :func:`recast` encodes the program into a
-fresh space and wraps the kernel; the sensitivity sweep builds one
-index on the merger's space and feeds it the merger's live masks at
-every sample (:mod:`repro.core.sensitivity`), and
-:func:`repro.core.defect.defect_masks` measures the defect on the same
-index.  ``use_bitset=False`` keeps the original frozenset evaluation
-as the oracle path (CLI ``--no-bitset``); the property suite pins that
-both produce identical assignments.  The ``recast.cover_checks`` /
-``recast.evaluations`` perf counters count the per-rule tests, one per
-(complex object, rule) per recast (see ``docs/PERFORMANCE.md``).
+(:func:`closest_by_mask`).  Besides the final types it leaves, per
+object, the local picture under the homes and the rules it covers.
+:func:`recast` encodes the program into a fresh space and wraps the
+kernel; :func:`repro.core.defect.defect_masks` measures the defect on
+the same index.  The sensitivity sweep builds one index on the
+merger's space, runs its first sample on these bulk kernels and
+carries the per-object state to later samples, re-deriving single
+objects with the same definitions (:mod:`repro.core.sensitivity`).
+``use_bitset=False`` keeps the original frozenset evaluation as the
+oracle path (CLI ``--no-bitset``); the property suite pins that both
+produce identical assignments.  The ``recast.cover_checks`` /
+``recast.evaluations`` perf counters count the per-rule tests made:
+one per (complex object, rule) per one-shot recast and per bulk
+sample; a carried sample counts only the tests it re-runs (see
+``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -444,7 +449,12 @@ def recast_masks(
     members: Optional[Sequence[AbstractSet[str]]] = None,
     fallback: str = "closest",
     perf: Optional[PerfRecorder] = None,
-) -> Tuple[List[FrozenSet[str]], List[int]]:
+) -> Tuple[
+    List[FrozenSet[str]],
+    List[int],
+    Optional[List[int]],
+    Optional[List[FrozenSet[str]]],
+]:
     """The Stage 3 memberships on ``index``, from rule masks.
 
     ``rules`` are ``(name, body_mask)`` pairs over the index's space;
@@ -455,43 +465,59 @@ def recast_masks(
     ``members`` (the ``STRICT`` GFP memberships per position) only the
     fallback runs.  ``fallback="closest"`` places each object left with
     no type, and not explicitly untyped, in its closest rule under the
-    pre-fallback assignment.  Returns the final types per position and
-    the positions the fallback placed.
+    pre-fallback assignment.
+
+    Returns, per position, the final types and, as a list, the
+    positions the fallback placed; under ``HOME_GUIDED`` also the local
+    pictures under ``home`` and the rules each covers (``None`` under
+    ``STRICT``).  Equal type sets are one object, so a carried copy of
+    these lists stays small (:mod:`repro.core.sensitivity`).
     """
     if fallback not in ("closest", "none"):
         raise RecastError(f"unknown fallback {fallback!r}")
     recorder = _resolve_perf(perf)
     size = len(index.objects)
+    sets: Dict[FrozenSet[str], FrozenSet[str]] = {}
+    intern = sets.setdefault
+    local: Optional[List[int]] = None
+    covered: Optional[List[FrozenSet[str]]] = None
     if members is None:
         if home is None:
             raise RecastError("HOME_GUIDED recasting requires a home assignment")
         names = {name for name, _ in rules}
-        assigned = [
-            {t for t in homes if t in names} if homes else set()
-            for homes in home
-        ]
         local = index.local_masks([homes or () for homes in home])
-        for types, mask in zip(assigned, local):
+        covered, assigned = [], []
+        for homes, mask in zip(home, local):
             uncovered = ~mask
-            types.update(
+            cover = frozenset(
                 name for name, body in rules if not body & uncovered
             )
+            cover = intern(cover, cover)
+            covered.append(cover)
+            if homes:
+                cover = cover | {t for t in homes if t in names}
+                cover = intern(cover, cover)
+            assigned.append(cover)
         recorder.incr("recast.cover_checks", size * len(rules))
         recorder.incr("recast.evaluations", size * len(rules))
     else:
-        assigned = [set(types) for types in members]
+        assigned = []
+        for types in members:
+            frozen = frozenset(types)
+            assigned.append(intern(frozen, frozen))
 
+    final = list(assigned)
     placed: List[int] = []
     if fallback == "closest" and rules:
-        reference = [tuple(types) for types in assigned]
         for i, types in enumerate(assigned):
             if types or (home is not None and home[i] is not None
                          and not home[i]):
                 continue
-            chosen, _ = closest_by_mask(rules, index.local_mask(i, reference))
-            types.add(chosen)
+            chosen, _ = closest_by_mask(rules, index.local_mask(i, assigned))
+            single = frozenset((chosen,))
+            final[i] = intern(single, single)
             placed.append(i)
-    return [frozenset(types) for types in assigned], placed
+    return final, placed, local, covered
 
 
 def recast(
@@ -570,7 +596,7 @@ def _recast_bitset(
         fixpoint = greatest_fixpoint(program, db, perf=perf)
         members = index.members(fixpoint.extents)
     homes = None if home is None else [home.get(obj) for obj in index.objects]
-    types, placed = recast_masks(
+    types, placed, _, _ = recast_masks(
         index, rule_masks, homes, members, fallback, perf
     )
     return (

@@ -18,15 +18,20 @@ measures the defect, producing the two Figure 6 series:
 On the bitset path (the default) a sample runs on the merger's live
 masks: one :class:`~repro.core.recast.LocalIndex` is read from the
 database on the merger's :class:`~repro.core.linkspace.LinkSpace` per
-sweep, and each sample pushes the starting homes through the merge
-map, computes the memberships with
-:func:`~repro.core.recast.recast_masks` (``STRICT`` takes them from
-the GFP of the decoded program) and the excess and deficit with
-:func:`~repro.core.defect.defect_masks` — no program decoded, no body
-encoded, no database call.  ``use_bitset=False`` runs
+sweep.  The first sample pushes the starting homes through the merge
+map and runs the bulk kernels,
+:func:`~repro.core.recast.recast_masks` (``STRICT`` takes the
+memberships from the GFP of the decoded program) and
+:func:`~repro.core.defect.defect_masks`; every later sample carries
+each object's state over from the last and re-derives only what the
+merges since touched (:class:`_CarriedSample`) — no program decoded,
+no body encoded, no database call.  ``use_bitset=False`` runs
 ``merger.result()``, the frozenset :func:`~repro.core.recast.recast`
-and the per-link defect: the oracle.  Spans ``sweep.recast`` and
-``sweep.defect`` split each ``sweep.sample``.
+and the per-link defect at every sample: the oracle.  Spans
+``sweep.recast`` and ``sweep.defect`` split each ``sweep.sample``.
+The result carries the sweep's merge trace, which the auto-``k``
+pipeline replays down to the knee
+(:meth:`~repro.core.clustering.GreedyMerger.replay`).
 
 Knee detection (:func:`find_knee`) uses the standard
 maximum-distance-to-chord rule on the defect curve, and
@@ -41,6 +46,8 @@ import logging
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    AbstractSet,
+    Dict,
     FrozenSet,
     Iterable,
     List,
@@ -52,11 +59,23 @@ from typing import (
 )
 
 from repro.core.clustering import GreedyMerger, MergePolicy
-from repro.core.defect import compute_defect, defect_masks
+from repro.core.defect import (
+    compute_defect,
+    defect_masks,
+    deficit_at,
+    excess_at,
+)
 from repro.core.distance import WeightedDistance, delta_2
 from repro.core.fixpoint import greatest_fixpoint
+from repro.core.linkspace import LinkSpace
 from repro.core.perfect import PerfectTyping, minimal_perfect_typing
-from repro.core.recast import LocalIndex, RecastMode, recast, recast_masks
+from repro.core.recast import (
+    LocalIndex,
+    RecastMode,
+    closest_by_mask,
+    recast,
+    recast_masks,
+)
 from repro.exceptions import ClusteringError, ExecutionInterruptedError
 from repro.graph.database import Database, ObjectId
 from repro.perf import PerfRecorder, resolve as _resolve_perf
@@ -90,6 +109,10 @@ class SensitivityResult:
 
     points: Tuple[SensitivityPoint, ...]
     exhausted: bool = False
+    #: The ``(absorber, absorbed)`` merges the sweep executed, in order:
+    #: its first ``n - k`` pairs rebuild Stage 2 at any sampled ``k``
+    #: (:meth:`~repro.core.clustering.GreedyMerger.replay`).
+    trace: Tuple[Tuple[str, str], ...] = ()
 
     def series(self) -> Tuple[List[int], List[float], List[int]]:
         """``(ks, total_distances, defects)`` as parallel lists."""
@@ -190,6 +213,325 @@ def sample_grid(
     return set(range(min_k, max_k + 1, step)) | {min_k, max_k}
 
 
+_EMPTY: FrozenSet[str] = frozenset()
+
+
+class _CarriedSample:
+    """A sweep's sample state, carried from one sampled ``k`` to the next.
+
+    Per complex object (a position of the :class:`LocalIndex`) it holds
+    its homes (its starting homes pushed through the merge map), its
+    local picture under the homes and the rules that picture covers,
+    its pre-fallback and final types, ``required`` (the OR of its final
+    types' bodies) and its excess and deficit terms; per rule, the
+    objects that cover it; per type, the objects that hold it.  Excess
+    and deficit are running totals.  Equal type sets are one object.
+
+    The first :meth:`recast` and :meth:`defect` run the bulk kernels
+    (:func:`recast_masks`, :func:`defect_masks`).  Every later sample
+    diffs the merger's state against the last sample's — the merge
+    map, the bodies, and the bits the :class:`LinkSpace` interned
+    since — and re-derives only what changed:
+
+    * the local pictures of the neighbours of objects whose homes
+      moved, and of the neighbours of a new bit's type's home members;
+    * the rules each changed picture covers (tested against all rules)
+      and the objects each changed rule covers (against all objects);
+    * the fallback of every object that needs one;
+    * ``required`` of objects whose final types changed or that hold a
+      changed body; their deficit terms and those of the neighbours of
+      objects whose final types changed; their excess terms and those
+      of their in-neighbours.
+
+    A new bit can enter a local picture without any home changing, but
+    it is held only by bodies rewritten since the last sample, so it
+    changes no cover test, ``required`` or defect term that the rules
+    above do not re-derive.  ``STRICT`` takes its pre-fallback types
+    from the GFP memberships at every sample and diffs those.
+    """
+
+    def __init__(
+        self,
+        index: LocalIndex,
+        space: LinkSpace,
+        start_homes: Sequence[Optional[AbstractSet[str]]],
+        fallback: str,
+        perf: PerfRecorder,
+    ) -> None:
+        self._index = index
+        self._space = space
+        self._start = start_homes
+        self._fallback = fallback
+        self._perf = perf
+        #: original type -> positions homed there at the start.
+        self._by_original: Dict[str, List[int]] = {}
+        for i, homes in enumerate(start_homes):
+            for original in homes or ():
+                self._by_original.setdefault(original, []).append(i)
+        self._sets: Dict[FrozenSet[str], FrozenSet[str]] = {}
+        # The last sample's merger state.
+        self._bodies: Dict[str, int] = {}
+        self._map: Dict[str, Optional[str]] = {}
+        self._dimension = 0
+        # Per position (filled by the first sample).
+        self._homes: List[FrozenSet[str]] = []
+        self._local: Optional[List[int]] = None
+        self._covered: List[FrozenSet[str]] = []
+        self._assigned: List[FrozenSet[str]] = []
+        self._final: List[FrozenSet[str]] = []
+        self._required: List[int] = []
+        self._excess: List[int] = []
+        self._deficit: List[int] = []
+        self._placed: Set[int] = set()
+        self._cover_of: Dict[str, Set[int]] = {}
+        self._holders: Dict[str, Set[int]] = {}
+        self.excess = 0
+        self.deficit = 0
+        # What this sample's recast changed, for its defect.
+        self._final_changed: List[int] = []
+        self._changed: List[str] = []
+
+    def _intern(self, types: FrozenSet[str]) -> FrozenSet[str]:
+        return self._sets.setdefault(types, types)
+
+    def _homes_of(
+        self, i: int, merge_map: Mapping[str, Optional[str]]
+    ) -> FrozenSet[str]:
+        return self._intern(frozenset(
+            merge_map[h] for h in self._start[i] or ()
+            if merge_map.get(h) is not None
+        ))
+
+    def _neighbours(self, positions: Iterable[int]) -> Set[int]:
+        out, inc = self._index.out, self._index.inc
+        found: Set[int] = set()
+        for i in positions:
+            found.update(j for _, _, j in out[i])
+            found.update(j for _, j in inc[i])
+        return found
+
+    def _in_neighbours(self, positions: Iterable[int]) -> Set[int]:
+        inc = self._index.inc
+        found: Set[int] = set()
+        for i in positions:
+            found.update(j for _, j in inc[i])
+        return found
+
+    def _explicitly_untyped(self, i: int) -> bool:
+        return self._start[i] is not None and not self._homes[i]
+
+    def recast(
+        self,
+        bodies: Mapping[str, int],
+        merge_map: Mapping[str, Optional[str]],
+        members: Optional[Sequence[AbstractSet[str]]] = None,
+    ) -> Sequence[FrozenSet[str]]:
+        """This sample's final types per position (``members``:
+        ``STRICT``'s GFP memberships per position)."""
+        # Fold the bits the merges minted into the index's rows first:
+        # the single-object terms read them directly.
+        self._index.sync()
+        rules = list(bodies.items())
+        if self._final:
+            self._update(bodies, rules, merge_map, members)
+        else:
+            self._first(rules, merge_map, members)
+        self._bodies = dict(bodies)
+        self._map = dict(merge_map)
+        self._dimension = self._space.dimension
+        return self._final
+
+    def _first(
+        self,
+        rules: List[Tuple[str, int]],
+        merge_map: Mapping[str, Optional[str]],
+        members: Optional[Sequence[AbstractSet[str]]],
+    ) -> None:
+        home = [
+            None if homes is None else self._homes_of(i, merge_map)
+            for i, homes in enumerate(self._start)
+        ]
+        final, placed, local, covered = recast_masks(
+            self._index, rules, home, members, self._fallback, self._perf
+        )
+        intern = self._intern
+        self._homes = [_EMPTY if homes is None else homes for homes in home]
+        self._local = local
+        self._final = [intern(types) for types in final]
+        self._placed = set(placed)
+        self._assigned = list(self._final)
+        for i in placed:
+            self._assigned[i] = intern(_EMPTY)
+        if covered is not None:
+            self._covered = [intern(cover) for cover in covered]
+            for i, cover in enumerate(self._covered):
+                for name in cover:
+                    self._cover_of.setdefault(name, set()).add(i)
+        for i, types in enumerate(self._final):
+            for name in types:
+                self._holders.setdefault(name, set()).add(i)
+        self._final_changed = []
+        self._changed = []
+
+    def _update(
+        self,
+        bodies: Mapping[str, int],
+        rules: List[Tuple[str, int]],
+        merge_map: Mapping[str, Optional[str]],
+        members: Optional[Sequence[AbstractSet[str]]],
+    ) -> None:
+        index, intern = self._index, self._intern
+        homes, assigned = self._homes, self._assigned
+        removed = [name for name in self._bodies if name not in bodies]
+        changed = [
+            name for name, body in rules if self._bodies.get(name) != body
+        ]
+        moved: Set[int] = set()
+        for original, target in merge_map.items():
+            if self._map.get(original) != target:
+                moved.update(self._by_original.get(original, ()))
+        for i in moved:
+            homes[i] = self._homes_of(i, merge_map)
+
+        if members is None:
+            candidates = moved | self._update_covers(
+                bodies, rules, merge_map, moved, removed, changed
+            )
+            for i in candidates:
+                assigned[i] = intern(homes[i] | self._covered[i])
+        else:
+            candidates = set(moved)
+            for i, types in enumerate(members):
+                if types != assigned[i]:
+                    assigned[i] = intern(frozenset(types))
+                    candidates.add(i)
+
+        placed = self._placed
+        before = set(placed)
+        if self._fallback == "closest" and rules:
+            for i in candidates:
+                if assigned[i] or self._explicitly_untyped(i):
+                    placed.discard(i)
+                else:
+                    placed.add(i)
+        chosen: Dict[int, FrozenSet[str]] = {}
+        for i in placed:
+            name, _ = closest_by_mask(rules, index.local_mask(i, assigned))
+            chosen[i] = intern(frozenset((name,)))
+
+        final, holders = self._final, self._holders
+        final_changed: List[int] = []
+        for i in candidates | before | placed:
+            types = chosen.get(i, assigned[i])
+            old = final[i]
+            if types == old:
+                continue
+            for name in old - types:
+                holders[name].discard(i)
+            for name in types - old:
+                holders.setdefault(name, set()).add(i)
+            final[i] = types
+            final_changed.append(i)
+        for name in removed:
+            holders.pop(name, None)
+        self._final_changed = final_changed
+        self._changed = changed
+
+    def _update_covers(
+        self,
+        bodies: Mapping[str, int],
+        rules: List[Tuple[str, int]],
+        merge_map: Mapping[str, Optional[str]],
+        moved: Set[int],
+        removed: List[str],
+        changed: List[str],
+    ) -> Set[int]:
+        """Re-derive the local pictures and cover sets the diff touches;
+        return the positions whose cover set changed."""
+        index, intern = self._index, self._intern
+        local, covered, cover_of = self._local, self._covered, self._cover_of
+        assert local is not None
+        dirty = self._neighbours(moved)
+        space = self._space
+        if space.dimension > self._dimension:
+            fresh = (1 << space.dimension) - (1 << self._dimension)
+            targets = {
+                link.target for link in space.links_of(fresh)
+                if not link.is_atomic_target
+            }
+            homed: Set[int] = set()
+            for original, target in merge_map.items():
+                if target in targets:
+                    homed.update(self._by_original.get(original, ()))
+            dirty |= self._neighbours(homed)
+        homes = self._homes
+        pictured: List[int] = []
+        for i in dirty:
+            mask = index.local_mask(i, homes)
+            if mask != local[i]:
+                local[i] = mask
+                pictured.append(i)
+
+        recovered: Set[int] = set()
+        for name in removed:
+            for i in cover_of.pop(name, ()):
+                covered[i] = intern(covered[i] - {name})
+                recovered.add(i)
+        for i in pictured:
+            uncovered = ~local[i]
+            cover = intern(frozenset(
+                name for name, body in rules if not body & uncovered
+            ))
+            old = covered[i]
+            if cover == old:
+                continue
+            for name in old - cover:
+                cover_of[name].discard(i)
+            for name in cover - old:
+                cover_of.setdefault(name, set()).add(i)
+            covered[i] = cover
+            recovered.add(i)
+        for name in changed:
+            body = bodies[name]
+            now = {i for i, mask in enumerate(local) if not body & ~mask}
+            for i in now.symmetric_difference(cover_of.get(name, ())):
+                covered[i] = intern(covered[i] ^ {name})
+                recovered.add(i)
+            cover_of[name] = now
+        checks = len(pictured) * len(rules) + len(changed) * len(local)
+        self._perf.incr("recast.cover_checks", checks)
+        self._perf.incr("recast.evaluations", checks)
+        return recovered
+
+    def defect(self) -> Tuple[int, int]:
+        """``(excess, deficit)`` of this sample's final types."""
+        index, bodies = self._index, self._bodies
+        final, required = self._final, self._required
+        if not required:
+            required[:], self._excess, self._deficit = defect_masks(
+                index, bodies, final
+            )
+            self.excess, self.deficit = sum(self._excess), sum(self._deficit)
+            return self.excess, self.deficit
+        touched = set(self._final_changed)
+        for name in self._changed:
+            touched.update(self._holders.get(name, ()))
+        for i in touched:
+            mask = 0
+            for name in final[i]:
+                mask |= bodies.get(name, 0)
+            required[i] = mask
+        for i in touched | self._neighbours(self._final_changed):
+            term = deficit_at(index, i, required, final)
+            self.deficit += term - self._deficit[i]
+            self._deficit[i] = term
+        for i in touched | self._in_neighbours(touched):
+            term = excess_at(index, i, required, final)
+            self.excess += term - self._excess[i]
+            self._excess[i] = term
+        return self.excess, self.deficit
+
+
 def sensitivity_sweep(
     db: Database,
     stage1: Optional[PerfectTyping] = None,
@@ -250,10 +592,12 @@ def sensitivity_sweep(
     use_bitset:
         Run the merger and every sample on the link-space bitset kernel
         (the default): one local-picture index per sweep, the merger's
-        live masks per sample.  ``False`` selects the frozenset oracle
-        path (``--no-bitset``).  Results are identical either way.
+        live masks per sample, each sample carried over from the last.
+        ``False`` selects the frozenset oracle path (``--no-bitset``).
+        Results are identical either way.
 
-    Returns a :class:`SensitivityResult` sorted by ascending ``k``.
+    Returns a :class:`SensitivityResult` sorted by ascending ``k``,
+    with the merges the sweep executed as its ``trace``.
     """
     perf = _resolve_perf(perf)
     if stage1 is None:
@@ -280,34 +624,30 @@ def sensitivity_sweep(
     stop_k = min(sample_ks, default=merger.num_types)
 
     if use_bitset:
-        assert merger.link_space is not None
-        index = LocalIndex(db, merger.link_space)
-        start_homes = [assignment.get(obj) for obj in index.objects]
+        space = merger.link_space
+        assert space is not None
+        index = LocalIndex(db, space)
+        carried = _CarriedSample(
+            index,
+            space,
+            [assignment.get(obj) for obj in index.objects],
+            fallback,
+            perf,
+        )
 
         def measure() -> Tuple[int, int]:
-            """One sample on the merger's live masks."""
-            bodies = merger.bodies
-            merge_map = merger.merge_map()
+            """One sample on the merger's live masks, carried over from
+            the last."""
             with perf.span("sweep.recast"):
-                home = [
-                    None if homes is None else frozenset(
-                        merge_map[h] for h in homes
-                        if merge_map.get(h) is not None
-                    )
-                    for homes in start_homes
-                ]
                 members = None
                 if mode is RecastMode.STRICT:
                     fixpoint = greatest_fixpoint(
                         merger.current_program(), db, perf=perf
                     )
                     members = index.members(fixpoint.extents)
-                final, _ = recast_masks(
-                    index, list(bodies.items()), home, members, fallback,
-                    perf,
-                )
+                carried.recast(merger.bodies, merger.merge_map(), members)
             with perf.span("sweep.defect"):
-                return defect_masks(index, bodies, final)
+                return carried.defect()
     else:
         def measure() -> Tuple[int, int]:
             """One sample on the frozenset oracle path."""
@@ -370,4 +710,8 @@ def sensitivity_sweep(
             points[0].k, points[-1].k,
             " (exhausted)" if exhausted else "",
         )
-    return SensitivityResult(points=tuple(points), exhausted=exhausted)
+    return SensitivityResult(
+        points=tuple(points),
+        exhausted=exhausted,
+        trace=tuple((r.absorber, r.absorbed) for r in merger.records),
+    )

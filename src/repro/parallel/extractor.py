@@ -227,7 +227,8 @@ def parallel_sweep(
     Every worker replays the same deterministic merge sequence from the
     full Stage 1 program down through its contiguous block of sampled
     ``k`` values, so the union of the blocks is point-for-point equal
-    to the sequential sweep.
+    to the sequential sweep, and the longest of the blocks' merge traces
+    is the sequential sweep's trace down to the lowest ``k`` reached.
 
     Budgeting is best-effort: each worker gets the parent's *remaining*
     allowance, and the units workers consumed are charged back into
@@ -297,7 +298,13 @@ def parallel_sweep(
         "parallel sweep: %d point(s) from %d block(s)%s",
         len(points), len(blocks), " (exhausted)" if exhausted else "",
     )
-    return SensitivityResult(points=tuple(points), exhausted=exhausted)
+    # Every block walks the same merge sequence, so the trace of the
+    # block that reached the lowest k holds every other block's.
+    return SensitivityResult(
+        points=tuple(points),
+        exhausted=exhausted,
+        trace=max((outcome.trace for outcome in outcomes), key=len),
+    )
 
 
 def _in_pool(method):

@@ -173,25 +173,28 @@ class PooledSweepTask:
 
 @dataclass(frozen=True)
 class SweepOutcome:
-    """One worker's sampled points and consumed budget."""
+    """One worker's sampled points, merge trace and consumed budget."""
 
     index: int
     points: Tuple[SensitivityPoint, ...]
     exhausted: bool
     iterations: int  #: work units the worker charged its local budget.
     perf_snapshot: Optional[Dict[str, Any]] = None
+    #: the ``(absorber, absorbed)`` merges the worker executed.
+    trace: Tuple[Tuple[str, str], ...] = ()
 
 
 def run_pooled_sweep(task: PooledSweepTask) -> SweepOutcome:
     """Worker body: one block of the Figure 6 sweep.
 
     The worker replays the deterministic merge sequence from the full
-    Stage 1 program down to ``min(params.sample_at)`` and records a
-    point at each requested ``k``.  Budget exhaustion never propagates
-    as an exception: the worker returns whatever prefix of its block it
-    managed, flagged ``exhausted`` — mirroring the sequential sweep's
-    best-so-far contract — and reports the units it consumed so the
-    parent can charge them against the real budget.
+    Stage 1 program down to ``min(params.sample_at)``, records a point
+    at each requested ``k`` and returns the merges it executed.  Budget
+    exhaustion never propagates as an exception: the worker returns
+    whatever prefix of its block it managed, flagged ``exhausted`` —
+    mirroring the sequential sweep's best-so-far contract — and
+    reports the units it consumed so the parent can charge them against
+    the real budget.
     """
     _maybe_chaos_exit(task.chaos_kill_file)
     params = task.params
@@ -204,6 +207,7 @@ def run_pooled_sweep(task: PooledSweepTask) -> SweepOutcome:
         ).start()
     dimensions = len(stage1.program.typed_links())
     points: Tuple[SensitivityPoint, ...] = ()
+    trace: Tuple[Tuple[str, str], ...] = ()
     exhausted = False
     try:
         result = sensitivity_sweep(
@@ -222,6 +226,7 @@ def run_pooled_sweep(task: PooledSweepTask) -> SweepOutcome:
             use_bitset=params.use_bitset,
         )
         points = result.points
+        trace = result.trace
         exhausted = result.exhausted
     except BudgetExceededError:
         # Not even the block's first sample completed.
@@ -232,4 +237,5 @@ def run_pooled_sweep(task: PooledSweepTask) -> SweepOutcome:
         exhausted=exhausted,
         iterations=budget.iterations if budget is not None else 0,
         perf_snapshot=perf.to_dict() if perf is not None else None,
+        trace=trace,
     )

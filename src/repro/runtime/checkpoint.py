@@ -12,10 +12,10 @@ Because every :class:`~repro.core.clustering.GreedyMerger` operation
 is deterministic given the pair being merged, replaying the trace
 reconstructs the merger state **exactly** — same bodies, same weights,
 same merge map, same total cost — after which the run continues as if
-it had never stopped.  (Replay skips only the choice of each merge:
-:meth:`~repro.core.clustering.GreedyMerger.merge_pair` keeps the row
-minima up to date, so the resumed run chooses exactly as the
-uninterrupted one would have.)
+it had never stopped.  (Replay skips the choice of each merge:
+:meth:`~repro.core.clustering.GreedyMerger.replay` applies the recorded
+pairs and prices every row once at the end, so the resumed run chooses
+exactly as the uninterrupted one would have.)
 
 The on-disk format is a single JSON document with the program stored
 in the paper's arrow notation (the same text
@@ -125,7 +125,8 @@ def restore_merger(
         checkpoint recorded no named distance, overrides it otherwise.
     perf:
         Optional :class:`repro.perf.PerfRecorder` for the rebuilt
-        merger (replayed merges are counted like live ones).
+        merger (replayed merges count in ``merge.steps``; the rows are
+        priced once, when the replay ends).
     use_bitset:
         Body representation for the rebuilt merger (see
         :class:`GreedyMerger`).  Checkpoints only record the merge
@@ -161,8 +162,7 @@ def restore_merger(
         perf=perf,
         use_bitset=use_bitset,
     )
-    for absorber, absorbed in checkpoint.merges:
-        merger.merge_pair(absorber, absorbed)
+    merger.replay(checkpoint.merges)
     return merger
 
 

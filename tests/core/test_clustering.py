@@ -252,17 +252,17 @@ class TestWeightedCenterMemberSync:
             )
             # A absorbs B: ->r^C is a 1-of-4 minority, so the aggregated
             # body of A is just ->name^0 — but B's member body keeps ->r^C.
-            merger.merge_pair("A", "B")
+            merger.replay([("A", "B")])
             assert {
                 str(l) for l in merger.current_program().rule("A").body
             } == {"->name^0"}
             # D absorbs C.  A's aggregated body does not mention C, but its
             # minority member does; the stale superscript used to survive
             # here and split the link's support forever after.
-            merger.merge_pair("D", "C")
+            merger.replay([("D", "C")])
             # A absorbs E: support for ->r^D is now 1 + 3 of 7 total weight,
             # a weighted majority — but only if the member was retargeted.
-            merger.merge_pair("A", "E")
+            merger.replay([("A", "E")])
             assert {
                 str(l) for l in merger.current_program().rule("A").body
             } == {"->name^0", "->r^D"}
@@ -275,8 +275,8 @@ class TestWeightedCenterMemberSync:
                 policy=MergePolicy.WEIGHTED_CENTER,
                 use_bitset=use_bitset,
             )
-            merger.merge_pair("A", "B")
-            merger.merge_pair("D", "C")
+            merger.replay([("A", "B")])
+            merger.replay([("D", "C")])
             live = set(merger.current_program().type_names())
             space = merger.link_space
             for members in merger._members.values():

@@ -1,11 +1,14 @@
 """Property-based tests for distances and Stage 2 clustering."""
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.clustering import GreedyMerger, MergePolicy
 from repro.core.distance import delta_2, manhattan_bodies
 from repro.core.typing_program import TypedLink, TypeRule, TypingProgram
+from repro.exceptions import BudgetExceededError
+from repro.runtime.budget import Budget
 
 labels = st.sampled_from(["a", "b", "c", "d", "e"])
 
@@ -120,3 +123,93 @@ class TestGreedyMergerInvariants:
         survivors = set(result.program.type_names())
         for types in mapped.values():
             assert types <= survivors
+
+
+@st.composite
+def merge_cases(draw):
+    """A program with weights and a merger configuration: any policy,
+    the empty type on or off, frozen types, either body representation,
+    and the lowest reachable ``k``."""
+    program, weights = draw(programs_with_weights())
+    names = sorted(program.type_names())
+    frozen = draw(st.sets(st.sampled_from(names), max_size=len(names) - 1))
+    options = dict(
+        policy=draw(st.sampled_from(list(MergePolicy))),
+        allow_empty_type=draw(st.booleans()),
+        frozen=frozen,
+        use_bitset=draw(st.booleans()),
+    )
+    return program, weights, options, max(1, len(frozen))
+
+
+def _state(merger):
+    """Everything a replay must reproduce, rule order included."""
+    result = merger.result()
+    return (
+        result,
+        [rule.name for rule in result.program.rules()],
+        merger.current_weights(),
+    )
+
+
+class TestReplay:
+    @given(merge_cases(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_replay_equals_search(self, case, data):
+        """Replaying the first ``n - k`` merges of ``run_to(floor)``
+        leaves the state of a fresh ``run_to(k)``, and the next
+        ``step()`` continues along the same trace."""
+        program, weights, options, floor = case
+        n = len(program)
+        trace = [
+            (r.absorber, r.absorbed)
+            for r in GreedyMerger(program, weights, **options)
+            .run_to(floor).records
+        ]
+        k = data.draw(st.integers(floor, n), label="k")
+        searched = GreedyMerger(program, weights, **options)
+        searched.run_to(k)
+        replayed = GreedyMerger(program, weights, **options)
+        replayed.replay(trace[: n - k])
+        assert _state(replayed) == _state(searched)
+        if k > floor:
+            assert replayed.step() == searched.step()
+            assert _state(replayed) == _state(searched)
+
+    @given(merge_cases(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_budget_trips_like_run_to(self, case, data):
+        """An iteration cap trips after the same merges in ``replay`` as
+        in ``run_to``, with the same callbacks, and leaves the rows
+        priced: the next ``step()`` agrees."""
+        program, weights, options, floor = case
+        n = len(program)
+        assume(n > floor)
+        trace = [
+            (r.absorber, r.absorbed)
+            for r in GreedyMerger(program, weights, **options)
+            .run_to(floor).records
+        ]
+        cap = data.draw(st.integers(0, n - floor - 1), label="cap")
+        searched = GreedyMerger(program, weights, **options)
+        replayed = GreedyMerger(program, weights, **options)
+        calls = {"searched": 0, "replayed": 0}
+
+        def counter(name):
+            def on_step(merger):
+                calls[name] += 1
+            return on_step
+
+        with pytest.raises(BudgetExceededError):
+            searched.run_to(
+                floor, budget=Budget(max_iterations=cap),
+                on_step=counter("searched"),
+            )
+        with pytest.raises(BudgetExceededError):
+            replayed.replay(
+                trace, budget=Budget(max_iterations=cap),
+                on_step=counter("replayed"),
+            )
+        assert calls["searched"] == calls["replayed"] == cap
+        assert _state(replayed) == _state(searched)
+        assert replayed.step() == searched.step()

@@ -16,6 +16,10 @@ every level:
 * the full Stage 1 -> 3 pipeline (program, assignment, defect) and the
   Figure 6 sweep on random databases, under each recast, merge, role,
   empty-type, sort and prior knob;
+* the sweep's carried sample state against the bulk kernels
+  (``recast_masks``, ``defect_masks``) on the same merger state at
+  every sample, with several merges between samples and objects the
+  fallback places;
 * the cluster machinery (k-median, agglomeration) fed by
   :class:`CachedBodyDistance` vs a plain closure over raw bodies.
 """
@@ -28,15 +32,19 @@ from repro.cluster.hierarchy import agglomerate
 from repro.cluster.jump import defining_attributes
 from repro.cluster.kmedian import greedy_k_median
 from repro.core.clustering import EMPTY_TYPE, GreedyMerger, MergePolicy
+from repro.core.defect import defect_masks
 from repro.core.distance import manhattan_bodies, named_distances
+from repro.core.fixpoint import greatest_fixpoint
 from repro.core.linkspace import BodyKernel, CachedBodyDistance, LinkSpace
 from repro.core.notation import parse_program
 from repro.core.pipeline import SchemaExtractor
 from repro.core.prior import PriorKnowledge
-from repro.core.recast import RecastMode
+from repro.core.recast import LocalIndex, RecastMode, recast_masks
+from repro.core.sensitivity import _CarriedSample, sample_grid
 from repro.core.sorts import sorted_local_rule
 from repro.core.typing_program import TypedLink, TypeRule, TypingProgram
 from repro.graph.database import Database
+from repro.perf import PerfRecorder
 from tests.property.test_property_bisim import sort_twin_databases
 
 labels = st.sampled_from(["a", "b", "c", "d"])
@@ -187,7 +195,7 @@ def brute_force_stage2(program, weights, k, **options):
 
     Before every merge it prices every live ordered pair and every
     empty-type move on frozenset bodies and executes the cheapest
-    ``(cost, absorber, absorbed)`` with :meth:`GreedyMerger.merge_pair`
+    ``(cost, absorber, absorbed)`` with :meth:`GreedyMerger.replay`
     on a ``use_bitset=False`` merger.  Quadratic per step, so test-only.
     """
     merger = GreedyMerger(program, weights, use_bitset=False, **options)
@@ -208,7 +216,8 @@ def brute_force_stage2(program, weights, k, **options):
                     cost = distance(live[absorber], live[absorbed], d)
                     candidates.append((cost, absorber, absorbed))
         cost, absorber, absorbed = min(candidates)
-        assert merger.merge_pair(absorber, absorbed).cost == cost
+        merger.replay([(absorber, absorbed)])
+        assert merger.records[-1].cost == cost
     return merger.result()
 
 
@@ -359,12 +368,178 @@ class TestPipelineEquivalence:
 
     @pytest.mark.parametrize("knob", sorted(PIPELINE_KNOBS))
     @given(st.data())
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_sweep_identical(self, knob, data):
         db, options = _knob_case(knob, data)
         bitset = SchemaExtractor(db, use_bitset=True, **options).sweep()
         plain = SchemaExtractor(db, use_bitset=False, **options).sweep()
         assert bitset.points == plain.points
+
+
+class TestCarriedSample:
+    """The sweep carries each sample's state to the next and re-derives
+    only what the merges since touched; at every sample it must equal
+    the bulk kernels run from scratch on the same merger state."""
+
+    @staticmethod
+    def _bulk(db, space, bodies, merge_map, start, members, fallback):
+        """Final types and ``(excess, deficit)`` from scratch, on an
+        index of their own."""
+        index = LocalIndex(db, space)
+        home = [
+            None if homes is None else frozenset(
+                merge_map[t] for t in homes if merge_map.get(t) is not None
+            )
+            for homes in (start.get(obj) for obj in index.objects)
+        ]
+        final, placed, _, _ = recast_masks(
+            index, list(bodies.items()), home, members, fallback
+        )
+        _, excess, deficit = defect_masks(index, bodies, final)
+        return final, placed, (sum(excess), sum(deficit))
+
+    @pytest.mark.parametrize("knob", sorted(PIPELINE_KNOBS))
+    def test_matches_bulk_kernels_at_every_sample(self, knob):
+        reached = {"samples": 0, "gaps": 0, "placed": 0, "failed": 0}
+
+        @given(st.data())
+        @settings(max_examples=200, deadline=None)
+        def run(data):
+            db, options = _knob_case(knob, data)
+            extractor = SchemaExtractor(db, **options)
+            stage1 = extractor.stage1()
+            program, assignment, weights, frozen, _ = (
+                extractor._starting_point(stage1)
+            )
+            # Objects left out of the home assignment keep only the
+            # rules they cover, and the fallback places them when they
+            # cover none.  Objects re-homed away from their Stage 1
+            # type have edges no starting body holds, so merges mint
+            # bits their neighbours' local pictures must pick up.
+            unhomed = data.draw(
+                st.sets(st.sampled_from(sorted(assignment))), label="unhomed"
+            )
+            rehomed = data.draw(
+                st.dictionaries(
+                    st.sampled_from(sorted(assignment)),
+                    st.sampled_from(sorted(program.type_names())),
+                    max_size=3,
+                ),
+                label="rehomed",
+            )
+            start = {
+                obj: frozenset([rehomed[obj]]) if obj in rehomed else homes
+                for obj, homes in assignment.items()
+                if obj not in unhomed
+            }
+            mode = options.get("recast_mode", RecastMode.HOME_GUIDED)
+            fallback = options.get("fallback", "closest")
+            merger = GreedyMerger(
+                program,
+                weights,
+                distance=extractor._resolve_distance(stage1),
+                policy=options.get("policy", MergePolicy.ABSORB),
+                allow_empty_type=options.get("allow_empty_type", False),
+                frozen=frozen,
+            )
+            step = data.draw(st.integers(1, 3), label="step")
+            sample_at = data.draw(
+                st.one_of(
+                    st.none(), st.sets(st.integers(1, merger.num_types))
+                ),
+                label="sample_at",
+            )
+            ks = sample_grid(
+                merger.num_types, 1, None, step, sample_at, len(frozen)
+            )
+            space = merger.link_space
+            index = LocalIndex(db, space)
+            carried = _CarriedSample(
+                index,
+                space,
+                [start.get(obj) for obj in index.objects],
+                fallback,
+                PerfRecorder(),
+            )
+            last = None
+            while True:
+                if merger.num_types in ks:
+                    bodies, merge_map = merger.bodies, merger.merge_map()
+                    members = None
+                    if mode is RecastMode.STRICT:
+                        members = index.members(
+                            greatest_fixpoint(
+                                merger.current_program(), db
+                            ).extents
+                        )
+                    final = list(carried.recast(bodies, merge_map, members))
+                    measured = carried.defect()
+                    want, placed, counts = self._bulk(
+                        db, space, bodies, merge_map, start, members,
+                        fallback,
+                    )
+                    assert final == want
+                    assert measured == counts
+                    reached["samples"] += 1
+                    reached["placed"] += bool(placed)
+                    # A homed object placed by the fallback: STRICT's
+                    # GFP dropped it from every type.
+                    reached["failed"] += any(
+                        index.objects[i] in start for i in placed
+                    )
+                    if last is not None and last - merger.num_types > 1:
+                        reached["gaps"] += 1
+                    last = merger.num_types
+                if merger.num_types <= min(ks, default=merger.num_types):
+                    break
+                merger.step()
+
+        run()
+        assert reached["samples"] > 0
+        assert reached["gaps"] > 0, "no sample followed several merges"
+        if knob != "no_fallback":
+            assert reached["placed"] > 0, "the fallback placed no object"
+        if knob == "strict":
+            assert reached["failed"] > 0, "every homed object kept a type"
+
+    def test_bit_interned_between_samples(self):
+        """``q`` keeps its home ``T`` while ``A`` merges into ``T``.  The
+        retarget mints ``->l^T`` in ``R``'s body, a link no body held
+        before, and ``p``, whose edge to ``q`` witnesses it, now covers
+        ``R``: its local picture changed although no home moved."""
+        db = Database()
+        db.add_atomic("leaf", 0)
+        db.add_link("p", "q", "l")
+        db.add_link("p", "leaf", "m")
+        db.add_link("q", "leaf", "x")
+        program = parse_program(
+            """
+            T = ->x^0
+            A = ->y^0
+            R = ->l^A
+            S = ->m^0
+            """
+        )
+        start = {"p": frozenset(["S"]), "q": frozenset(["T"])}
+        merger = GreedyMerger(program, {name: 1 for name in "TARS"})
+        space = merger.link_space
+        index = LocalIndex(db, space)
+        carried = _CarriedSample(
+            index, space, [start.get(obj) for obj in index.objects],
+            "closest", PerfRecorder(),
+        )
+        p = index.position["p"]
+        for pairs in ([], [("T", "A")]):
+            merger.replay(pairs)
+            bodies, merge_map = merger.bodies, merger.merge_map()
+            final = list(carried.recast(bodies, merge_map))
+            measured = carried.defect()
+            want, _, counts = self._bulk(
+                db, space, bodies, merge_map, start, None, "closest"
+            )
+            assert final == want
+            assert measured == counts
+        assert "R" in final[p]
 
 
 class TestClusterMachineryEquivalence:

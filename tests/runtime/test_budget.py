@@ -216,6 +216,36 @@ class TestBudgetedLoops:
         # charge() happens before the pop, so exactly 1 merge landed.
         assert merger.num_types == n - 1
 
+    def test_auto_k_stage2_trips_inside_the_replay(self, figure3_db):
+        """Auto-k Stage 2 replays the sweep's merges to the knee; a cap
+        that trips inside the replay degrades exactly like the same cap
+        inside ``run_to``: a pinned-k extract whose cap leaves out the
+        sweep's units (one per merge and per sample)."""
+        from repro.core.pipeline import SchemaExtractor
+
+        full = SchemaExtractor(figure3_db).extract()
+        sweep = full.sensitivity
+        assert full.num_perfect_types - full.chosen_k >= 2
+        auto = SchemaExtractor(figure3_db).extract(
+            budget=Budget(
+                max_iterations=len(sweep.trace) + len(sweep.points) + 1
+            )
+        )
+        pinned = SchemaExtractor(figure3_db).extract(
+            k=full.chosen_k, budget=Budget(max_iterations=1)
+        )
+        for result in (auto, pinned):
+            assert result.degradation.stage == "stage2"
+            assert result.num_types == full.num_perfect_types - 1
+        assert auto.stage2 == pinned.stage2
+        assert auto.assignment == pinned.assignment
+        assert auto.recast_result == pinned.recast_result
+        assert auto.defect.total == pinned.defect.total
+        for field in ("reason", "target_k", "achieved_k", "best_defect"):
+            assert getattr(auto.degradation, field) == getattr(
+                pinned.degradation, field
+            ), field
+
     def test_sweep_returns_partial_curve(self, soccer_movie_db):
         full = sensitivity_sweep(soccer_movie_db)
         budget = Budget(max_iterations=3)

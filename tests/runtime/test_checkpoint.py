@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.core.clustering import GreedyMerger, MergePolicy
 from repro.core.perfect import minimal_perfect_typing
-from repro.exceptions import ReproError
+from repro.exceptions import ClusteringError, ReproError
 from repro.runtime.budget import Budget
 from repro.runtime.checkpoint import (
     Checkpoint,
@@ -89,6 +90,33 @@ class TestReplay:
         assert resumed.result().program == uninterrupted.result().program
         assert resumed.total_cost == pytest.approx(uninterrupted.total_cost)
 
+    @pytest.mark.parametrize(
+        "pair",
+        [("t_unknown", "t1"), ("t1", "t1"), ("_untyped", "t1")],
+    )
+    def test_restore_rejects_a_pair_that_cannot_merge(self, merger, pair):
+        """A checkpoint is read from a file: a recorded pair naming an
+        unknown or merged type, merging a type into itself, or using
+        the disabled empty type stops the replay."""
+        merger.run_to(2)
+        absorber, absorbed = pair
+        live = sorted(merger.current_program().type_names())
+        checkpoint = checkpoint_merger(merger, distance="delta_2")
+        broken = replace(
+            checkpoint,
+            merges=checkpoint.merges + (
+                (absorber.replace("t1", live[0]),
+                 absorbed.replace("t1", live[0])),
+            ),
+        )
+        with pytest.raises(ClusteringError):
+            restore_merger(broken)
+        merged = replace(
+            checkpoint, merges=checkpoint.merges + checkpoint.merges[:1]
+        )
+        with pytest.raises(ClusteringError):
+            restore_merger(merged)
+
     def test_policy_survives_round_trip(self, soccer_movie_db):
         stage1 = minimal_perfect_typing(soccer_movie_db)
         merger = GreedyMerger(
@@ -103,25 +131,41 @@ class TestReplay:
 
 
 class TestPipelineResume:
-    def test_extract_resume_equals_uninterrupted(self, soccer_movie_db, tmp_path):
+    def test_extract_resume_equals_uninterrupted(
+        self, soccer_movie_db, figure3_db, tmp_path
+    ):
+        """A cap that lets one Stage 2 merge land leaves a checkpoint
+        that resumes to the uninterrupted result, at a pinned ``k`` and
+        with ``k=None``, where the merges are the sweep's, replayed down
+        to the knee; there the cap first covers the sweep's units (one
+        per merge and per sample)."""
         from repro.core.pipeline import SchemaExtractor
 
-        path = tmp_path / "trace.json"
-        partial = SchemaExtractor(soccer_movie_db).extract(
-            k=1,
-            budget=Budget(max_iterations=1),
-            checkpoint_path=str(path),
-        )
-        assert partial.is_partial
-        assert partial.degradation.stage == "stage2"
-        assert partial.degradation.checkpoint_path == str(path)
-        assert partial.num_types == 2  # got one merge in before the cap
+        for db, k in ((soccer_movie_db, 1), (figure3_db, None)):
+            full = SchemaExtractor(db).extract(k=k)
+            assert full.num_perfect_types - full.chosen_k >= 2
+            sweep_units = 0
+            if k is None:
+                sweep = full.sensitivity
+                sweep_units = len(sweep.trace) + len(sweep.points)
+            path = tmp_path / f"trace-{k}.json"
+            partial = SchemaExtractor(db).extract(
+                k=k,
+                budget=Budget(max_iterations=sweep_units + 1),
+                checkpoint_path=str(path),
+            )
+            assert partial.is_partial
+            assert partial.degradation.stage == "stage2"
+            assert partial.degradation.checkpoint_path == str(path)
+            # One merge got in before the cap.
+            assert partial.num_types == full.num_perfect_types - 1
+            assert load_checkpoint(str(path)).k_target == full.chosen_k
 
-        resumed = SchemaExtractor(soccer_movie_db).extract(resume_from=str(path))
-        full = SchemaExtractor(soccer_movie_db).extract(k=1)
-        assert resumed.program == full.program
-        assert resumed.defect.total == full.defect.total
-        assert not resumed.is_partial
+            resumed = SchemaExtractor(db).extract(resume_from=str(path))
+            assert resumed.program == full.program
+            assert resumed.stage2 == full.stage2
+            assert resumed.defect.total == full.defect.total
+            assert not resumed.is_partial
 
     def test_resume_rejects_mismatched_database(self, regular_people_db,
                                                 soccer_movie_db, tmp_path):
