@@ -29,7 +29,8 @@ key work metrics to ``benchmarks/results/BENCH_pipeline.json``:
 * a bitset-vs-set manhattan-kernel comparison on DBG — the gates are
   program/extent/defect equality between ``use_bitset=True`` and the
   frozenset oracle path, identical auto-k sweep points on both paths,
-  plus a **checks-based cost proxy**: over the
+  the auto-k Stage 2 (replayed from the sweep's merge trace) equal to
+  ``run_to`` at the knee, plus a **checks-based cost proxy**: over the
   Stage 1 all-pairs candidate round, the set path touches
   ``sum(|body_i| + |body_j|)`` link hashes while the kernel touches
   ``num_pairs * ceil(dimension / 64)`` machine words, and the proxy
@@ -70,6 +71,7 @@ import sys
 import time
 from typing import Dict, List, Optional
 
+from repro.core.clustering import GreedyMerger
 from repro.core.delta import Stage1Maintainer
 from repro.core.fixpoint import greatest_fixpoint, greatest_fixpoint_naive
 from repro.core.linkspace import LinkSpace
@@ -378,8 +380,10 @@ def compare_manhattan_kernel(k: int = 6) -> Dict[str, object]:
     Runs the full Stage 1 -> 3 extraction twice — ``use_bitset=True``
     (the default) and ``use_bitset=False`` — and gates on program,
     extent and defect equality; then runs the auto-k sweep on both
-    paths and gates on identical points (both walls recorded, never
-    asserted).  The perf gate is a deterministic
+    paths and gates on identical points (both walls and both paths'
+    ``recast.cover_checks`` recorded, never asserted), and gates on the
+    auto-k extract's Stage 2, replayed from the sweep's merge trace,
+    equalling ``GreedyMerger.run_to`` at the knee.  The perf gate is a deterministic
     checks-based proxy over the Stage 1 all-pairs candidate round (the
     merger's first row scans evaluate exactly these pairs): the set
     path builds each symmetric difference by hashing every link of both
@@ -414,18 +418,36 @@ def compare_manhattan_kernel(k: int = 6) -> Dict[str, object]:
     ), "bitset kernel recast extents diverged on dbg-1998"
     assert bitset.defect.total == plain.defect.total
 
-    # The auto-k sweep on both paths: every sample on the merger's
-    # masks against the frozenset oracle.  Identical points are the
-    # gate; the walls are recorded, never asserted.
+    # The auto-k sweep on both paths: every sample after the first
+    # carried over from the last, against the frozenset oracle, which
+    # recasts and measures each sample from scratch.  Identical points
+    # are the gate; the walls and the subset tests each path made are
+    # recorded, never asserted.
+    sweep_perf_bitset = PerfRecorder()
     start = time.perf_counter()
-    sweep_bitset = SchemaExtractor(db).sweep()
+    sweep_bitset = SchemaExtractor(db, perf=sweep_perf_bitset).sweep()
     sweep_bitset_seconds = time.perf_counter() - start
+    sweep_perf_set = PerfRecorder()
     start = time.perf_counter()
-    sweep_set = SchemaExtractor(db, use_bitset=False).sweep()
+    sweep_set = SchemaExtractor(
+        db, use_bitset=False, perf=sweep_perf_set
+    ).sweep()
     sweep_set_seconds = time.perf_counter() - start
     assert sweep_bitset.points == sweep_set.points, (
         "the mask-kernel sweep diverged from the frozenset sweep on "
         "dbg-1998"
+    )
+
+    # Auto-k Stage 2 replays the sweep's merges down to the knee; it
+    # must equal a fresh greedy search to that k.
+    auto = SchemaExtractor(db).extract()
+    searched = GreedyMerger(
+        auto.stage1.program,
+        {name: float(w) for name, w in auto.stage1.weights.items()},
+    ).run_to(auto.chosen_k)
+    assert auto.stage2 == searched, (
+        "auto-k Stage 2 replayed from the sweep's trace differs from "
+        f"run_to({auto.chosen_k}) on dbg-1998"
     )
 
     # Checks-based cost proxy over the Stage 1 all-pairs round.
@@ -478,6 +500,13 @@ def compare_manhattan_kernel(k: int = 6) -> Dict[str, object]:
         "sweep_samples": len(sweep_bitset.points),
         "sweep_knee": sweep_bitset.knee(),
         "sweep_points_identical": True,
+        "sweep_cover_checks_bitset": sweep_perf_bitset.counter(
+            "recast.cover_checks"
+        ),
+        "sweep_cover_checks_set": sweep_perf_set.counter(
+            "recast.cover_checks"
+        ),
+        "auto_k_stage2_identical": True,
         "sweep_bitset_wall_seconds": round(sweep_bitset_seconds, 6),
         "sweep_set_wall_seconds": round(sweep_set_seconds, 6),
     }
@@ -670,11 +699,13 @@ def test_parallel_pipeline_extent_gate():
 
 def test_manhattan_kernel_regression_gate():
     """The bitset kernel is program/extent/defect-identical to the
-    frozenset path on DBG, its auto-k sweep has identical points, and
-    its checks-based cost proxy clears the 30% bar (the assertions live
+    frozenset path on DBG, its auto-k sweep has identical points, the
+    replayed auto-k Stage 2 equals ``run_to`` at the knee, and its
+    checks-based cost proxy clears the 30% bar (the assertions live
     inside the comparison)."""
     stats = compare_manhattan_kernel()
     assert stats["sweep_points_identical"] is True
+    assert stats["auto_k_stage2_identical"] is True
     assert stats["proxy_reduction"] >= MIN_KERNEL_REDUCTION
     assert stats["manhattan_evals_bitset"] > 0
     assert stats["cover_checks_bitset"] > 0
@@ -804,7 +835,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"({kernel['speedup']:.2f}x, informational); auto-k sweep "
         f"({kernel['sweep_samples']} samples) points identical, "
         f"{kernel['sweep_bitset_wall_seconds'] * 1000:.1f} ms vs "
-        f"{kernel['sweep_set_wall_seconds'] * 1000:.1f} ms (informational)"
+        f"{kernel['sweep_set_wall_seconds'] * 1000:.1f} ms, "
+        f"{kernel['sweep_cover_checks_bitset']} vs "
+        f"{kernel['sweep_cover_checks_set']} cover checks (informational); "
+        f"auto-k Stage 2 equals run_to({kernel['sweep_knee']})"
     )
     delta = payload["incremental_refresh"]
     print(
