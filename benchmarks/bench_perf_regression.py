@@ -46,7 +46,20 @@ key work metrics to ``benchmarks/results/BENCH_pipeline.json``:
 * the same comparison at a size where the differential engine wins on
   wall time: chained three-edit batches on ``make_scaled(1000)``,
   gated on extent and home-type equality after every batch, with the
-  median wall of each side recorded but never asserted.
+  median wall of each side recorded but never asserted;
+* the production auto-k ``SchemaExtractor(db).extract()`` on
+  ``make_large_multi_component(N)`` (standalone/CI only, ``N`` from
+  ``--large-objects``): its wall time and the process's peak RSS
+  without a recorder, then the ``pipeline.stage1`` / ``sweep`` /
+  ``stage2`` / ``stage3`` split with one; the gate is identity with
+  the same extract with Stage 1's bisimulation classes withheld (the
+  identity partition), and no time is asserted
+  (:func:`extract_large`).
+
+Every standalone run also appends one record per git commit to
+``benchmarks/results/BENCH_trajectory.jsonl`` (a record for the same
+commit is replaced), so the figures build a trajectory instead of
+overwriting the last run.
 
 The file doubles as a CI smoke test: it is runnable standalone
 (``python benchmarks/bench_perf_regression.py --sizes 100``) and under
@@ -62,13 +75,17 @@ See ``docs/PERFORMANCE.md`` for how to read the emitted JSON.
 from __future__ import annotations
 
 import argparse
+import datetime
 import json
 import math
 import pathlib
 import random
+import resource
 import statistics
+import subprocess
 import sys
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.core.clustering import GreedyMerger
@@ -93,6 +110,7 @@ from bench_scalability import (  # noqa: E402
 RESULTS_PATH = (
     pathlib.Path(__file__).resolve().parent / "results" / "BENCH_pipeline.json"
 )
+TRAJECTORY_PATH = RESULTS_PATH.with_name("BENCH_trajectory.jsonl")
 
 #: Minimum wall-time speedup of the worklist GFP over the naive
 #: top-down oracle on ``Q_D`` of ``make_scaled(n)`` (medians of
@@ -374,6 +392,113 @@ def compare_parallel_large(
     }
 
 
+def extract_large(num_objects: int = DEFAULT_LARGE_OBJECTS) -> Dict[str, object]:
+    """The production auto-k extract on the large multi-component data.
+
+    ``SchemaExtractor(db).extract()`` runs once without a recorder for
+    its wall time and the process's peak RSS (``ru_maxrss``, the
+    database included; :func:`run_suite` runs this entry first, so no
+    other scenario inflates it), then once with a
+    :class:`PerfRecorder` for the ``pipeline.*`` split.  The gate
+    (``identity_asserted: true``) is that the same extract with Stage
+    1's bisimulation classes withheld, so the sweep and Stage 3 run on
+    the identity partition, returns the same sweep points, ``k``,
+    Stage 2, program, Stage 3 result and defect; its wall is recorded
+    but nothing is asserted on time.
+    """
+    db = make_large_multi_component(num_objects)
+    start = time.perf_counter()
+    result = SchemaExtractor(db).extract()
+    wall = time.perf_counter() - start
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+    perf = PerfRecorder()
+    SchemaExtractor(db, perf=perf).extract()
+    timers = perf.to_dict()["timers"]
+
+    withheld_stage1 = replace(result.stage1, representative=None)
+    start = time.perf_counter()
+    withheld = SchemaExtractor(db, stage1=withheld_stage1).extract()
+    withheld_wall = time.perf_counter() - start
+    assert withheld.sensitivity.points == result.sensitivity.points
+    assert withheld.chosen_k == result.chosen_k
+    assert withheld.stage2 == result.stage2
+    assert withheld.program == result.program
+    assert withheld.recast_result == result.recast_result
+    assert withheld.defect == result.defect, (
+        "the extract on Stage 1's classes diverged from the identity "
+        "partition on the large workload"
+    )
+    return {
+        "num_objects": db.num_objects,
+        "num_complex": db.num_complex,
+        "classes": len(set(result.stage1.representative.values())),
+        "perfect_types": result.num_perfect_types,
+        "chosen_k": result.chosen_k,
+        "defect": result.defect.total,
+        "wall_seconds": round(wall, 3),
+        "peak_rss_mb": round(peak_rss_mb, 1),
+        "split_seconds": {
+            name: round(timers[f"pipeline.{name}"]["seconds"], 3)
+            for name in ("stage1", "sweep", "stage2", "stage3")
+            if f"pipeline.{name}" in timers
+        },
+        "classes_withheld_wall_seconds": round(withheld_wall, 3),
+        "identity_asserted": True,
+    }
+
+
+def _git(*args: str) -> str:
+    try:
+        return subprocess.run(
+            ["git", *args], capture_output=True, text=True, check=True,
+            cwd=pathlib.Path(__file__).resolve().parent,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return ""
+
+
+def append_trajectory(
+    payload: Dict[str, object], path: pathlib.Path = TRAJECTORY_PATH
+) -> Dict[str, object]:
+    """Append this run's headline figures to the trajectory file.
+
+    One JSON line per git commit: a line for the same commit is
+    replaced.  ``src_dirty`` marks a run whose ``src/`` differed from
+    the commit.
+    """
+    pipeline = payload["pipeline"]
+    kernel = payload["manhattan_kernel"]
+    record: Dict[str, object] = {
+        "commit": _git("rev-parse", "--short", "HEAD") or "unknown",
+        "src_dirty": bool(_git("status", "--porcelain", "--", "src")),
+        "date": datetime.date.today().isoformat(),
+        "pipeline_wall_seconds": {
+            str(entry["num_objects"]): entry["wall_seconds"]
+            for entry in pipeline
+        },
+        "dbg_sweep_wall_seconds": kernel["sweep_bitset_wall_seconds"],
+    }
+    if "extract_large" in payload:
+        large = payload["extract_large"]
+        record["extract_large"] = {
+            key: large[key]
+            for key in ("num_objects", "chosen_k", "defect", "wall_seconds",
+                        "peak_rss_mb", "split_seconds")
+        }
+    lines = []
+    if path.exists():
+        lines = [
+            line for line in path.read_text(encoding="utf-8").splitlines()
+            if line.strip()
+            and json.loads(line).get("commit") != record["commit"]
+        ]
+    lines.append(json.dumps(record, sort_keys=True))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return record
+
+
 def compare_manhattan_kernel(k: int = 6) -> Dict[str, object]:
     """Bitset link-space kernel vs the frozenset oracle path on DBG.
 
@@ -647,10 +772,11 @@ def run_suite(
     """The whole harness: engine comparison + instrumented pipeline.
 
     ``include_large`` adds the asserted 10^5-object pooled-vs-
-    sequential entry to ``parallel_comparison`` (minutes of wall time;
-    the pytest entry point leaves it off, the standalone/CI harness
-    turns it on).
+    sequential entry to ``parallel_comparison`` and the
+    ``extract_large`` entry (minutes of wall time; the pytest entry
+    point leaves them off, the standalone/CI harness turns them on).
     """
+    large_extract = extract_large(large_objects) if include_large else None
     parallel_entries = [
         compare_parallel_pipeline(n, jobs=jobs) for n in sizes
     ]
@@ -671,6 +797,8 @@ def run_suite(
         "incremental_refresh": compare_incremental_refresh(),
         "incremental_refresh_scaled": compare_incremental_refresh_scaled(),
     }
+    if large_extract is not None:
+        payload["extract_large"] = large_extract
     return payload
 
 
@@ -783,6 +911,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         large_objects=args.large_objects,
     )
     write_report(payload, pathlib.Path(args.output))
+    append_trajectory(payload)
     for entry in payload["engine_comparison"]:
         print(
             f"gfp scaled-{entry['num_objects']}: "
@@ -858,7 +987,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{scaled['rebuild_median_wall_seconds'] * 1000:.1f} ms rebuild "
         f"({scaled['speedup']:.2f}x, informational)"
     )
-    print(f"wrote {args.output}")
+    large = payload.get("extract_large")
+    if large is not None:
+        split = ", ".join(
+            f"{name} {seconds:.2f} s"
+            for name, seconds in large["split_seconds"].items()
+        )
+        print(
+            f"auto-k extract of make_large_multi_component("
+            f"{args.large_objects}): {large['num_complex']} complex objects "
+            f"in {large['classes']} classes, k={large['chosen_k']}, defect "
+            f"{large['defect']}, {large['wall_seconds']:.2f} s, peak RSS "
+            f"{large['peak_rss_mb']:.1f} MB ({split}); equals the "
+            f"classes-withheld run "
+            f"({large['classes_withheld_wall_seconds']:.2f} s)"
+        )
+    print(f"wrote {args.output} and {TRAJECTORY_PATH}")
     return 0
 
 

@@ -32,21 +32,27 @@ Mask kernel
 -----------
 :func:`defect_masks` measures both on a
 :class:`~repro.core.recast.LocalIndex` (the database read once) from
-rule-body masks: ``required[o]`` is the OR of the bodies of ``o``'s
-assigned types; one pass over the indexed edges builds every local
-picture under the assignment and marks an edge used when its out-bits
-hit the source's ``required`` or its in-bits hit the target's (an
-atomic edge carries ``->l^0`` and ``->l^0:<sort>``, so a rule holding
-either uses it); the deficit is ``popcount(required & ~local)``.  It
-leaves per-object terms — ``required``, the unused out-edges of the
-object (an edge counts at its source) and its deficit — whose sums are
-the two counts.  :func:`compute_defect` runs it by default
-(``use_bitset=True``) on an index read for the call.  The sensitivity
-sweep runs it on its first sample and then carries the terms,
-re-deriving single objects with :func:`excess_at` and
-:func:`deficit_at`.  The per-link :func:`compute_excess` /
-:func:`compute_deficit` are the oracle (``use_bitset=False``) and the
-path that itemises (``collect=True``).
+rule-body masks.  A position of the index is a bisimulation class of
+Stage 1 (or a single object); the assignment must be constant on each
+class, as every assignment Stages 2–3 make is.  ``required[c]`` is the
+OR of the bodies of the class's assigned types; one pass over the
+indexed edge kinds builds every local picture under the assignment
+and marks a kind used when its out-bits hit the source's ``required``
+or its in-bits hit the target's (an atomic edge carries ``->l^0`` and
+``->l^0:<sort>``, so a rule holding either uses it).  Every member of
+a class has the class's picture and ``required``, and whether an edge
+is used depends only on (source class, label, target class) or
+(source class, atomic bits), so the excess of a class is the count of
+its members' edges of unused kinds and its deficit is
+``size × popcount(required & ~local)``.  It leaves these per-position
+terms — ``required``, the excess (an edge counts at its source) and
+the deficit — whose sums are the two counts.  :func:`compute_defect`
+runs it by default (``use_bitset=True``), on the index it is given or
+on one read for the call.  The sensitivity sweep runs it on its first
+sample and then carries the terms, re-deriving single positions with
+:func:`excess_at` and :func:`deficit_at`.  The per-link
+:func:`compute_excess` / :func:`compute_deficit` are the oracle
+(``use_bitset=False``) and the path that itemises (``collect=True``).
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ from typing import (
     FrozenSet,
     List,
     Mapping,
+    Optional,
     Sequence,
     Set,
     Tuple,
@@ -252,12 +259,13 @@ def defect_masks(
     ``bodies`` maps each type to its rule-body mask over the index's
     space; assigned names without a body impose nothing.  Returns, per
     position, ``required`` (the OR of the assigned bodies), the excess
-    term (the unused out-edges of the object: an edge is counted at its
-    source) and the deficit term (``popcount(required & ~local)``).
-    Their sums are :func:`compute_excess` / :func:`compute_deficit` of
-    the same program and assignment (see the module docstring);
-    :func:`excess_at` and :func:`deficit_at` re-derive one position's
-    terms.
+    term (the unused out-edges of the position's objects, each edge
+    kind weighted by its count: an edge is counted at its source) and
+    the deficit term (``size × popcount(required & ~local)``).  Their
+    sums are :func:`compute_excess` / :func:`compute_deficit` of the
+    same program and assignment, lifted to every member (see the module
+    docstring); :func:`excess_at` and :func:`deficit_at` re-derive one
+    position's terms.
     """
     index.sync()
     required: List[int] = []
@@ -276,7 +284,7 @@ def defect_masks(
                 unused += count
         own = assignment[i]
         outgoing = 0
-        for out_row, in_row, j in edges:
+        for out_row, in_row, j, count in edges:
             out_bits = 0
             for type_name in assignment[j]:
                 out_bits |= out_row.get(type_name, 0)
@@ -286,11 +294,12 @@ def defect_masks(
             outgoing |= out_bits
             local[j] |= in_bits
             if not (need & out_bits or required[j] & in_bits):
-                unused += 1
+                unused += count
         local[i] |= outgoing
         excess.append(unused)
     deficit = [
-        (need & ~mask).bit_count() for need, mask in zip(required, local)
+        size * (need & ~mask).bit_count()
+        for size, need, mask in zip(index.size, required, local)
     ]
     return required, excess, deficit
 
@@ -308,7 +317,7 @@ def excess_at(
         if not need & bits:
             unused += count
     own = assignment[i]
-    for out_row, in_row, j in index.out[i]:
+    for out_row, in_row, j, count in index.out[i]:
         out_bits = 0
         for type_name in assignment[j]:
             out_bits |= out_row.get(type_name, 0)
@@ -316,7 +325,7 @@ def excess_at(
         for type_name in own:
             in_bits |= in_row.get(type_name, 0)
         if not (need & out_bits or required[j] & in_bits):
-            unused += 1
+            unused += count
     return unused
 
 
@@ -327,7 +336,8 @@ def deficit_at(
     assignment: Sequence[AbstractSet[str]],
 ) -> int:
     """:func:`defect_masks`' deficit term of position ``i`` alone."""
-    return (required[i] & ~index.local_mask(i, assignment)).bit_count()
+    missing = required[i] & ~index.local_mask(i, assignment)
+    return index.size[i] * missing.bit_count()
 
 
 def compute_defect(
@@ -336,26 +346,32 @@ def compute_defect(
     assignment: Assignment,
     collect: bool = False,
     use_bitset: bool = True,
+    index: Optional[LocalIndex] = None,
 ) -> DefectReport:
     """Compute the full defect report for an assignment.
 
     ``collect=False`` (the default) skips materialising the itemised
     edge/requirement lists, which matters when the sensitivity sweep
     evaluates the defect at every ``k``.  ``use_bitset=True`` (the
-    default) counts on the mask kernel (:func:`defect_masks`);
-    ``False``, an itemised report (``collect=True``) and an assignment
-    that types an atomic or unknown object (Stage 3 never makes one;
-    the index holds complex objects only) take the per-link path.
-    Counts are identical either way.
+    default) counts on the mask kernel (:func:`defect_masks`), on
+    ``index`` when given (read after ``program``'s bodies were encoded
+    in its space; on classes, ``assignment`` is read at each class's
+    representative and must be constant on each class) and on an index
+    read for the call otherwise.  ``False``, an itemised report
+    (``collect=True``) and an assignment that types an atomic or
+    unknown object (Stage 3 never makes one; the index holds complex
+    objects only) take the per-link path.  Counts are identical either
+    way.
     """
     if use_bitset and not collect and all(
         db.is_complex(obj) for obj, types in assignment.items() if types
     ):
-        space = LinkSpace()
+        space = LinkSpace() if index is None else index.space
         bodies = {
             rule.name: space.encode(rule.body) for rule in program.rules()
         }
-        index = LocalIndex(db, space)
+        if index is None:
+            index = LocalIndex(db, space)
         empty: FrozenSet[str] = frozenset()
         final = [assignment.get(obj, empty) for obj in index.objects]
         _, excess, deficit = defect_masks(index, bodies, final)

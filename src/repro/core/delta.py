@@ -131,14 +131,17 @@ logger = logging.getLogger("repro.core.delta")
 class DeltaStats:
     """Work measures of one differential run.
 
-    ``objects_visited`` is the headline number: distinct objects whose
-    body (or signature) the engine actually evaluated.  Everything
-    outside it was carried over untouched — the regression bench gates
-    ``objects_visited / num_complex`` for small edit batches.
+    ``objects_visited`` is the ripple's reach: the seeds plus the
+    distinct objects the downward descent re-verified.  The regression
+    bench gates ``objects_visited / num_complex`` for small edit
+    batches.  It is not the engine's work: the gains closure and its
+    settle phase test the bodies of candidate objects without adding
+    them, so ``satisfaction_checks``, which counts every typed-link
+    evaluation, is the measure of work.
     """
 
     seeds: int = 0  #: complex objects whose neighbourhood changed.
-    objects_visited: int = 0  #: distinct objects verified or re-signed.
+    objects_visited: int = 0  #: seeds plus objects the descent verified.
     retractions: int = 0  #: memberships withdrawn (seed + worklist).
     gains: int = 0  #: candidate memberships added beyond the carry-over.
     type_rechecks: int = 0  #: worklist dequeues in the downward phase.

@@ -66,7 +66,11 @@ members of the classes in its class-level extent.
 :func:`bisimulation_classes` (steps 1–2) and
 :func:`typing_from_classes` (step 3).  The sharded Stage 1
 (:mod:`repro.parallel.merge`) runs the first half per shard and both
-halves on the disjoint union of the shards' class databases.
+halves on the disjoint union of the shards' class databases.  Both
+keep the classes on the typing (:attr:`PerfectTyping.representative`),
+and Stages 2–3 run on them: the sweep's samples and Stage 3 read one
+position per class (:class:`repro.core.recast.LocalIndex`), by the
+same invariance argument (``DESIGN.md`` §5).
 
 The per-object path — :func:`build_object_program` on ``D``,
 :func:`repro.core.fixpoint.greatest_fixpoint` and
@@ -79,7 +83,16 @@ compares against (``tests/core/oracle.py``); the differential maintainer
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.bisim.partition import Partition, refine_partition
 from repro.core.fixpoint import FixpointResult, greatest_fixpoint
@@ -198,6 +211,13 @@ class PerfectTyping:
         counts class-level work; the per-object oracle
         (:func:`collapse_object_fixpoint`) counts re-checks of the
         per-object types of ``Q_D``.
+    representative:
+        The bisimulation classes Stage 1 ran on: every complex object
+        mapped to its class's representative, the class's smallest
+        object (:func:`typing_from_classes`).  Stages 2–3 run on them
+        (:meth:`classes_for`).  ``None`` for a typing built per object
+        — the oracle and the differential maintainer — which Stages
+        2–3 treat as the identity partition.
     """
 
     program: TypingProgram
@@ -205,6 +225,7 @@ class PerfectTyping:
     extents: Dict[str, FrozenSet[ObjectId]]
     weights: Dict[str, int]
     q_iterations: int
+    representative: Optional[Mapping[ObjectId, ObjectId]] = None
 
     @property
     def num_types(self) -> int:
@@ -237,6 +258,27 @@ class PerfectTyping:
             for obj in members:
                 full.setdefault(obj, set()).add(type_name)
         return {obj: frozenset(types) for obj, types in full.items()}
+
+    def classes_for(
+        self, assignment: Mapping[ObjectId, Optional[AbstractSet[str]]]
+    ) -> Optional[Mapping[ObjectId, ObjectId]]:
+        """Stage 1's classes, when ``assignment`` is class-constant.
+
+        A starting home assignment is *class-constant* when it gives
+        every member of a class its representative's homes (or none,
+        like its representative).  Every Stage 1 type is a union of
+        classes, so the Stage 1 homes, the roles and the empty type
+        are; a prior with known members need not be.  Returns
+        :attr:`representative` then, and ``None`` (the identity
+        partition, one class per object) otherwise or without classes.
+        """
+        representative = self.representative
+        if representative is None:
+            return None
+        get = assignment.get
+        if all(get(obj) == get(rep) for obj, rep in representative.items()):
+            return representative
+        return None
 
     def apply_delta(
         self,
@@ -342,7 +384,8 @@ def typing_from_classes(
 
     ``representative`` must map every complex object of ``db`` to an
     object of ``class_db`` it is bisimilar to; the Stage 1 types'
-    home sets and extents are keyed by its keys.
+    home sets and extents are keyed by its keys, and the typing keeps
+    it as :attr:`PerfectTyping.representative`.
     """
     perf = _resolve_perf(perf)
     build = local_rule_fn if local_rule_fn is not None else local_rule
@@ -362,7 +405,9 @@ def typing_from_classes(
                 obj for rep in class_extent for obj in members[rep]
             )
             homes[extent] = [obj for rep in reps for obj in members[rep]]
-        return canonical_typing(db, build, homes, fixpoint.iterations)
+        return canonical_typing(
+            db, build, homes, fixpoint.iterations, representative
+        )
 
 
 def _class_database(
@@ -408,6 +453,7 @@ def canonical_typing(
     build,
     homes: Mapping[FrozenSet[ObjectId], Sequence[ObjectId]],
     q_iterations: int,
+    representative: Optional[Mapping[ObjectId, ObjectId]] = None,
 ) -> PerfectTyping:
     """Name Stage 1's classes and rebuild their rules (step 3).
 
@@ -418,7 +464,7 @@ def canonical_typing(
     class's rule is the leader's local picture (``build``) with its
     targets renamed to class names, and its weight is its number of
     home objects.  Shared by the per-object collapse and Stage 1 on
-    the quotient.
+    the quotient, which passes its classes as ``representative``.
     """
     classes = sorted(
         ((min(objs), objs, extent) for extent, objs in homes.items()),
@@ -447,6 +493,7 @@ def canonical_typing(
         extents=extents,
         weights=weights,
         q_iterations=q_iterations,
+        representative=representative,
     )
 
 

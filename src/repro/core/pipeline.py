@@ -27,16 +27,17 @@ point used by the examples, the CLI and the benchmark harnesses:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Mapping, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple, Union
 
 from repro.core.clustering import GreedyMerger, MergePolicy, Stage2Result
 from repro.core.defect import DefectReport, compute_defect
 from repro.core.distance import WeightedDistance, named_distances
+from repro.core.linkspace import LinkSpace
 from repro.core.notation import format_program
 from repro.core.perfect import PerfectTyping, minimal_perfect_typing
 from repro.core.prior import PriorKnowledge, combine_with_stage1
-from repro.core.recast import RecastMode, RecastResult, recast
+from repro.core.recast import LocalIndex, RecastMode, RecastResult, recast
 from repro.core.roles import RoleDecomposition, decompose_roles
 from repro.core.sensitivity import SensitivityResult, sensitivity_sweep
 from repro.core.typing_program import TypingProgram
@@ -511,20 +512,7 @@ class SchemaExtractor:
             self._write_checkpoint(merger, k, checkpoint_path)
 
         with self._perf.span("pipeline.stage3"):
-            home = stage2.map_assignment(assignment)
-            recast_result = recast(
-                stage2.program,
-                self._db,
-                home=home,
-                mode=self._recast_mode,
-                fallback=self._fallback,
-                perf=self._perf,
-                use_bitset=self._use_bitset,
-            )
-            defect = compute_defect(
-                stage2.program, self._db, recast_result.assignment,
-                use_bitset=self._use_bitset,
-            )
+            recast_result, defect = self._stage3(stage1, stage2, assignment)
         degradation: Optional[DegradationReport] = None
         if degraded_stage is not None:
             # The sweep was cut short; Stage 2 still reached the best
@@ -561,6 +549,49 @@ class SchemaExtractor:
             chosen_k=k,
             degradation=degradation,
         )
+
+    def _stage3(
+        self,
+        stage1: PerfectTyping,
+        stage2: Stage2Result,
+        assignment: Mapping[ObjectId, FrozenSet[str]],
+    ) -> Tuple[RecastResult, DefectReport]:
+        """Stage 3 from the starting ``assignment``, and its defect.
+
+        On the bitset path ``recast`` and ``compute_defect`` share one
+        :class:`~repro.core.recast.LocalIndex`, so the database is read
+        once.  It is read over Stage 1's classes when the start is
+        class-constant (:meth:`PerfectTyping.classes_for`), and the
+        homes are pushed through the merge map once per class.
+        """
+        program, db = stage2.program, self._db
+        index: Optional[LocalIndex] = None
+        if self._use_bitset:
+            space = LinkSpace()
+            for rule in program.rules():
+                space.encode(rule.body)
+            index = LocalIndex(
+                db, space, classes=stage1.classes_for(assignment)
+            )
+            assignment = {
+                obj: assignment[obj]
+                for obj in index.objects if obj in assignment
+            }
+        recast_result = recast(
+            program,
+            db,
+            home=stage2.map_assignment(assignment),
+            mode=self._recast_mode,
+            fallback=self._fallback,
+            perf=self._perf,
+            use_bitset=self._use_bitset,
+            index=index,
+        )
+        defect = compute_defect(
+            program, db, recast_result.assignment,
+            use_bitset=self._use_bitset, index=index,
+        )
+        return recast_result, defect
 
     # ------------------------------------------------------------------
     # Degradation & checkpoint plumbing
@@ -631,20 +662,7 @@ class SchemaExtractor:
                 records=(),
                 total_cost=0.0,
             )
-        home = stage2.map_assignment(assignment)
-        recast_result = recast(
-            stage2.program,
-            self._db,
-            home=home,
-            mode=self._recast_mode,
-            fallback=self._fallback,
-            perf=self._perf,
-            use_bitset=self._use_bitset,
-        )
-        defect = compute_defect(
-            stage2.program, self._db, recast_result.assignment,
-            use_bitset=self._use_bitset,
-        )
+        recast_result, defect = self._stage3(stage1, stage2, assignment)
         degradation = DegradationReport(
             stage=stage,
             reason=failure.reason,
@@ -723,10 +741,8 @@ def _override_program(stage1: PerfectTyping, program: TypingProgram) -> PerfectT
     """A stage-1 result with its program swapped (for the roles variant)."""
     if program is stage1.program:
         return stage1
-    return PerfectTyping(
+    return replace(
+        stage1,
         program=program,
-        home_type=stage1.home_type,
-        extents=stage1.extents,
         weights={name: stage1.weights.get(name, 0) for name in program.type_names()},
-        q_iterations=stage1.q_iterations,
     )

@@ -29,27 +29,37 @@ Bitset kernel
 -------------
 With ``use_bitset=True`` (the default) Stage 3 runs on ``int`` masks
 over a :class:`~repro.core.linkspace.LinkSpace`.  A
-:class:`LocalIndex` reads the database once: for every complex object
-the bits of its atomic links, and its labelled complex out- and
-in-neighbours.  :func:`recast_masks` then takes rule masks and a home
-assignment (or, in ``STRICT`` mode, the GFP memberships) and computes
-the memberships: one pass over the indexed edges builds every local
-picture, the per-object, per-rule work is ``body & ~local == 0``, and
-the closest-type fallback is an xor popcount
+:class:`LocalIndex` reads the database once into one position per
+bisimulation class that Stage 1 computed
+(:attr:`~repro.core.perfect.PerfectTyping.representative`), or per
+complex object without classes: the bits of its atomic links, its
+labelled complex out-edges counted per ``(label, target class)``, its
+in-neighbour classes and its size.  Bisimilar objects given the same
+homes get the same local picture, cover tests, fallback and final
+types (``DESIGN.md`` §5), so a class is computed once.
+:func:`recast_masks` then takes rule masks and a home assignment (or,
+in ``STRICT`` mode, the GFP memberships) and computes the memberships
+per position: one pass over the indexed edges builds every local
+picture, the per-position, per-rule work is ``body & ~local == 0``,
+and the closest-type fallback is an xor popcount
 (:func:`closest_by_mask`).  Besides the final types it leaves, per
-object, the local picture under the homes and the rules it covers.
-:func:`recast` encodes the program into a fresh space and wraps the
-kernel; :func:`repro.core.defect.defect_masks` measures the defect on
-the same index.  The sensitivity sweep builds one index on the
+position, the local picture under the homes and the rules it covers.
+:func:`recast` encodes the program into a fresh space (or the space of
+the index it is given) and wraps the kernel, lifting the types to
+every object at the end; :func:`repro.core.defect.defect_masks`
+measures the defect on the same index, weighting each class by its
+size and edge counts.  The sensitivity sweep builds one index on the
 merger's space, runs its first sample on these bulk kernels and
-carries the per-object state to later samples, re-deriving single
-objects with the same definitions (:mod:`repro.core.sensitivity`).
+carries the per-position state to later samples, re-deriving single
+positions with the same definitions (:mod:`repro.core.sensitivity`).
 ``use_bitset=False`` keeps the original frozenset evaluation as the
 oracle path (CLI ``--no-bitset``); the property suite pins that both
 produce identical assignments.  The ``recast.cover_checks`` /
 ``recast.evaluations`` perf counters count the per-rule tests made:
-one per (complex object, rule) per one-shot recast and per bulk
-sample; a carried sample counts only the tests it re-runs (see
+one per (position, rule) per one-shot recast and per bulk sample —
+per (complex object, rule) on an index without classes, per (class,
+rule) on Stage 1's classes, which the pipeline's sweep and Stage 3 use
+— and a carried sample counts only the tests it re-runs (see
 ``docs/PERFORMANCE.md``).
 """
 
@@ -307,22 +317,43 @@ def closest_by_mask(
     return best[2], best[0]
 
 
-#: One indexed complex edge seen from its source: the OUT row and IN
-#: row of its label (target type -> bit) and the target's position.
-_OutEdge = Tuple[Dict[str, int], Dict[str, int], int]
+#: One indexed kind of complex edge seen from its source: the OUT row
+#: and IN row of its label (target type -> bit), the target's position
+#: and the number of edges of that kind.
+_OutEdge = Tuple[Dict[str, int], Dict[str, int], int, int]
 
 
 class LocalIndex:
     """Every complex object's local picture, read from ``db`` once.
 
-    Positions follow ``db.complex_objects()``.  Per position the index
-    holds:
+    A position is a class of ``classes`` (a map from every complex
+    object to its class's representative, as Stage 1 keeps it in
+    :attr:`~repro.core.perfect.PerfectTyping.representative`), or,
+    without ``classes``, a single object: the identity partition, whose
+    positions follow ``db.complex_objects()``.  ``objects`` holds each
+    position's representative, in the order the representatives first
+    appear in ``classes``, and ``position`` maps every complex object
+    to its class's position.  Per position the index holds:
 
-    * ``atomic`` — the bits of the object's atomic links: ``->l^0`` and,
-      where ``space`` interns it, the sorted ``->l^0:<sort>``;
-    * ``atomic_edges`` — its atomic out-edges as ``(bits, count)``
-      groups, the edges whose excess test reads those bits;
-    * ``out`` / ``inc`` — its labelled complex out- and in-neighbours.
+    * ``size`` — the number of objects in the class;
+    * ``atomic`` — the bits of its atomic links: ``->l^0`` and, where
+      ``space`` interns it, the sorted ``->l^0:<sort>``;
+    * ``atomic_edges`` — its members' atomic out-edges as
+      ``(bits, count)`` groups, the edges whose excess test reads those
+      bits;
+    * ``out`` — its members' complex out-edges, one entry per
+      ``(label, target position)`` with the number of such edges;
+    * ``inc`` — the ``(label, source position)`` pairs of its members'
+      complex in-edges, each once.
+
+    Bisimilar objects have the same labelled edges into the same
+    classes, in both directions, and the same atomic labels, so under
+    types that are constant on each class they have the same local
+    picture: a position's picture is each member's.  Sorted bits are
+    the exception when the partition did not split by sort; if some
+    class's members carry different atomic bits in ``space``, the index
+    is read on the identity partition instead.  Without ``classes`` the
+    index is the per-object one, with a count of 1 per edge.
 
     A typed link between complex objects, ``(OUT|IN, l, type)``, is
     read through per-label rows that :meth:`sync` folds from ``space``,
@@ -331,70 +362,126 @@ class LocalIndex:
     not interned is held by no rule body, so it changes no subset test
     and no deficit, and it would add the same 1 to every rule's
     distance in the closest-type fallback.  Atomic bits are fixed at
-    the build: merges never mint an atomic link.
+    the build (merges never mint an atomic link), so a rule with an
+    atomic link must be encoded in ``space`` before the index is read.
     """
 
     __slots__ = (
-        "objects", "position", "atomic", "atomic_edges", "out", "inc",
-        "_space", "_rows", "_synced",
+        "space", "objects", "position", "size", "atomic", "atomic_edges",
+        "out", "inc", "_rows", "_synced", "_read_done",
     )
 
-    def __init__(self, db: Database, space: LinkSpace) -> None:
-        self._space = space
+    def __init__(
+        self,
+        db: Database,
+        space: LinkSpace,
+        classes: Optional[Mapping[ObjectId, ObjectId]] = None,
+    ) -> None:
+        self.space = space
         #: label -> (OUT row, IN row), each a target type -> bit dict.
         self._rows: Dict[str, Tuple[Dict[str, int], Dict[str, int]]] = {}
         self._synced = 0
+        self._read_done = False
         self.sync()
+        if classes is None or not self._read(db, classes):
+            self._read(db, None)
+        self._read_done = True
+
+    def _read(
+        self,
+        db: Database,
+        classes: Optional[Mapping[ObjectId, ObjectId]],
+    ) -> bool:
+        """Read ``db`` on ``classes`` (``None``: the identity
+        partition); ``False`` if a class's members carry different
+        atomic bits."""
+        space = self.space
         links = space.links_of((1 << space.dimension) - 1)
         atomic_bits = {
             (link.label, link.target): 1 << i
             for i, link in enumerate(links)
             if link.is_atomic_target
         }
+        plain = {
+            label: bit for (label, target), bit in atomic_bits.items()
+            if target == ATOMIC
+        }
         sorted_labels = {
             label for label, target in atomic_bits if target != ATOMIC
         }
-        self.objects: List[ObjectId] = list(db.complex_objects())
-        self.position: Dict[ObjectId, int] = {
-            obj: i for i, obj in enumerate(self.objects)
-        }
-        self.atomic: List[int] = []
-        self.atomic_edges: List[List[Tuple[int, int]]] = []
-        self.out: List[List[_OutEdge]] = [[] for _ in self.objects]
-        self.inc: List[List[Tuple[Dict[str, int], int]]] = [
-            [] for _ in self.objects
-        ]
-        position, rows = self.position, self._rows
-        for i, obj in enumerate(self.objects):
+        if classes is None:
+            self.objects = list(db.complex_objects())
+            self.position = {obj: i for i, obj in enumerate(self.objects)}
+        else:
+            self.objects = list(dict.fromkeys(classes.values()))
+            rank = {rep: i for i, rep in enumerate(self.objects)}
+            self.position = {
+                obj: rank[classes[obj]] for obj in db.complex_objects()
+            }
+        width = len(self.objects)
+        position = self.position
+        size = [0] * width
+        atomic: List[Optional[int]] = [None] * width
+        groups: List[Dict[int, int]] = [{} for _ in range(width)]
+        kinds: List[Dict[Tuple[str, int], int]] = [{} for _ in range(width)]
+        out_labels, targets_view, at = (
+            db.out_labels, db.targets_view, position.get
+        )
+        for obj, i in position.items():
+            size[i] += 1
             mask = 0
-            groups: Dict[int, int] = {}
-            for label in db.out_labels(obj):
-                out_row, in_row = rows.setdefault(label, ({}, {}))
-                plain = atomic_bits.get((label, ATOMIC), 0)
-                for dst in db.targets_view(obj, label):
-                    j = position.get(dst)
+            group, kind = groups[i], kinds[i]
+            for label in out_labels(obj):
+                for dst in targets_view(obj, label):
+                    j = at(dst)
                     if j is not None:
-                        self.out[i].append((out_row, in_row, j))
-                        self.inc[j].append((in_row, i))
+                        key = (label, j)
+                        kind[key] = kind.get(key, 0) + 1
                         continue
-                    bits = plain
+                    bits = plain.get(label, 0)
                     if label in sorted_labels:
                         target = atomic_target(sort_of(db.value(dst)))
                         bits |= atomic_bits.get((label, target), 0)
                     mask |= bits
-                    groups[bits] = groups.get(bits, 0) + 1
-            self.atomic.append(mask)
-            self.atomic_edges.append(list(groups.items()))
+                    group[bits] = group.get(bits, 0) + 1
+            if atomic[i] is None:
+                atomic[i] = mask
+            elif atomic[i] != mask:
+                return False
+        rows = self._rows
+        self.size = size
+        self.atomic = atomic
+        self.atomic_edges = [list(group.items()) for group in groups]
+        self.out: List[List[_OutEdge]] = [[] for _ in range(width)]
+        self.inc: List[List[Tuple[Dict[str, int], int]]] = [
+            [] for _ in range(width)
+        ]
+        for i, kind in enumerate(kinds):
+            for (label, j), count in kind.items():
+                out_row, in_row = rows.setdefault(label, ({}, {}))
+                self.out[i].append((out_row, in_row, j, count))
+                self.inc[j].append((in_row, i))
+        return True
 
     def sync(self) -> None:
         """Fold the typed links ``space`` interned since the last call
-        into the per-label rows."""
-        space = self._space
+        into the per-label rows.
+
+        Raises :class:`~repro.exceptions.RecastError` on an atomic link
+        interned after the build: the index's atomic bits miss it.
+        """
+        space = self.space
         if space.dimension == self._synced:
             return
         bit = 1 << self._synced
         for link in space.links_of((1 << space.dimension) - bit):
-            if not link.is_atomic_target:
+            if link.is_atomic_target:
+                if self._read_done:
+                    raise RecastError(
+                        f"atomic link {link} was interned after the "
+                        "local-picture index was read"
+                    )
+            else:
                 rows = self._rows.setdefault(link.label, ({}, {}))
                 rows[link.direction is Direction.IN][link.target] = bit
             bit <<= 1
@@ -408,7 +495,7 @@ class LocalIndex:
         for i, edges in enumerate(self.out):
             own = types[i]
             outgoing = 0
-            for out_row, in_row, j in edges:
+            for out_row, in_row, j, _ in edges:
                 for name in types[j]:
                     outgoing |= out_row.get(name, 0)
                 incoming = 0
@@ -419,10 +506,10 @@ class LocalIndex:
         return local
 
     def local_mask(self, i: int, types: Sequence[Iterable[str]]) -> int:
-        """The local picture of the object at position ``i`` alone."""
+        """The local picture of the position ``i`` alone."""
         self.sync()
         mask = self.atomic[i]
-        for out_row, _, j in self.out[i]:
+        for out_row, _, j, _ in self.out[i]:
             for name in types[j]:
                 mask |= out_row.get(name, 0)
         for in_row, j in self.inc[i]:
@@ -433,7 +520,8 @@ class LocalIndex:
     def members(
         self, extents: Mapping[str, AbstractSet[ObjectId]]
     ) -> List[Set[str]]:
-        """Per-position type sets of type -> members ``extents``."""
+        """Per-position type sets of type -> members ``extents`` (on
+        classes, extents that are unions of classes)."""
         out: List[Set[str]] = [set() for _ in self.objects]
         position = self.position
         for type_name, members in extents.items():
@@ -471,7 +559,9 @@ def recast_masks(
     positions the fallback placed; under ``HOME_GUIDED`` also the local
     pictures under ``home`` and the rules each covers (``None`` under
     ``STRICT``).  Equal type sets are one object, so a carried copy of
-    these lists stays small (:mod:`repro.core.sensitivity`).
+    these lists stays small (:mod:`repro.core.sensitivity`).  On an
+    index over classes ``home`` and ``members`` must be constant on
+    each class; the results then hold for every member.
     """
     if fallback not in ("closest", "none"):
         raise RecastError(f"unknown fallback {fallback!r}")
@@ -528,6 +618,7 @@ def recast(
     fallback: str = "closest",
     perf: Optional[PerfRecorder] = None,
     use_bitset: bool = True,
+    index: Optional[LocalIndex] = None,
 ) -> RecastResult:
     """Run Stage 3 and return the final object-to-types assignment.
 
@@ -551,17 +642,29 @@ def recast(
     use_bitset:
         When true (the default) the memberships and the closest-type
         fallback run on the mask kernel (:func:`recast_masks` over a
-        :class:`LocalIndex` read for this call); ``False`` keeps the
-        frozenset oracle path.  Results are identical either way.
+        :class:`LocalIndex`); ``False`` keeps the frozenset oracle
+        path.  Results are identical either way.
+    index:
+        The :class:`LocalIndex` of ``db`` to run the mask kernel on,
+        read after ``program``'s bodies were encoded in its space;
+        one is read for the call by default.  On an index over classes
+        (the pipeline's Stage 3 passes Stage 1's) ``home`` is read at
+        each class's representative and must give every member of a
+        class the same homes; the types are lifted to every member at
+        the end.
     """
     if fallback not in ("closest", "none"):
         raise RecastError(f"unknown fallback {fallback!r}")
     if mode is RecastMode.HOME_GUIDED and home is None:
         raise RecastError("HOME_GUIDED recasting requires a home assignment")
-    run = _recast_bitset if use_bitset else _recast_sets
-    final, fallback_objects = run(
-        program, db, home, mode, fallback, _resolve_perf(perf)
-    )
+    if use_bitset:
+        final, fallback_objects = _recast_bitset(
+            program, db, home, mode, fallback, _resolve_perf(perf), index
+        )
+    else:
+        final, fallback_objects = _recast_sets(
+            program, db, home, mode, fallback, _resolve_perf(perf)
+        )
     extents: Dict[str, Set[ObjectId]] = {name: set() for name in program.type_names()}
     for obj, types in final.items():
         for type_name in types:
@@ -581,16 +684,18 @@ def _recast_bitset(
     mode: RecastMode,
     fallback: str,
     perf: PerfRecorder,
+    index: Optional[LocalIndex],
 ) -> Tuple[Dict[ObjectId, FrozenSet[str]], Set[ObjectId]]:
     """:func:`recast` on the mask kernel: encode, index, then
-    :func:`recast_masks`."""
-    space = LinkSpace()
+    :func:`recast_masks`, lifted from positions to objects."""
+    space = LinkSpace() if index is None else index.space
     with perf.span("linkspace.encode"):
         rule_masks = [
             (rule.name, space.encode(rule.body)) for rule in program.rules()
         ]
     perf.incr("linkspace.encodes", len(rule_masks))
-    index = LocalIndex(db, space)
+    if index is None:
+        index = LocalIndex(db, space)
     members = None
     if mode is RecastMode.STRICT:
         fixpoint = greatest_fixpoint(program, db, perf=perf)
@@ -599,9 +704,10 @@ def _recast_bitset(
     types, placed, _, _ = recast_masks(
         index, rule_masks, homes, members, fallback, perf
     )
+    position, placed_at = index.position, set(placed)
     return (
-        dict(zip(index.objects, types)),
-        {index.objects[i] for i in placed},
+        {obj: types[i] for obj, i in position.items()},
+        {obj for obj, i in position.items() if i in placed_at},
     )
 
 

@@ -18,14 +18,18 @@ measures the defect, producing the two Figure 6 series:
 On the bitset path (the default) a sample runs on the merger's live
 masks: one :class:`~repro.core.recast.LocalIndex` is read from the
 database on the merger's :class:`~repro.core.linkspace.LinkSpace` per
-sweep.  The first sample pushes the starting homes through the merge
-map and runs the bulk kernels,
+sweep, with one position per bisimulation class of Stage 1 when the
+starting assignment is class-constant
+(:meth:`~repro.core.perfect.PerfectTyping.classes_for`; per object
+otherwise).  The first sample pushes the starting homes through the
+merge map once per position and runs the bulk kernels,
 :func:`~repro.core.recast.recast_masks` (``STRICT`` takes the
 memberships from the GFP of the decoded program) and
-:func:`~repro.core.defect.defect_masks`; every later sample carries
-each object's state over from the last and re-derives only what the
-merges since touched (:class:`_CarriedSample`) — no program decoded,
-no body encoded, no database call.  ``use_bitset=False`` runs
+:func:`~repro.core.defect.defect_masks`, which weight each class by its
+size and edge counts; every later sample carries each position's state
+over from the last and re-derives only what the merges since touched
+(:class:`_CarriedSample`) — no program decoded, no body encoded, no
+database call.  ``use_bitset=False`` runs
 ``merger.result()``, the frozenset :func:`~repro.core.recast.recast`
 and the per-link defect at every sample: the oracle.  Spans
 ``sweep.recast`` and ``sweep.defect`` split each ``sweep.sample``.
@@ -219,7 +223,8 @@ _EMPTY: FrozenSet[str] = frozenset()
 class _CarriedSample:
     """A sweep's sample state, carried from one sampled ``k`` to the next.
 
-    Per complex object (a position of the :class:`LocalIndex`) it holds
+    Per position of the :class:`LocalIndex` (a class of Stage 1, or an
+    object; "object" below) it holds
     its homes (its starting homes pushed through the merge map), its
     local picture under the homes and the rules that picture covers,
     its pre-fallback and final types, ``required`` (the OR of its final
@@ -306,7 +311,7 @@ class _CarriedSample:
         out, inc = self._index.out, self._index.inc
         found: Set[int] = set()
         for i in positions:
-            found.update(j for _, _, j in out[i])
+            found.update(edge[2] for edge in out[i])
             found.update(j for _, j in inc[i])
         return found
 
@@ -626,7 +631,7 @@ def sensitivity_sweep(
     if use_bitset:
         space = merger.link_space
         assert space is not None
-        index = LocalIndex(db, space)
+        index = LocalIndex(db, space, classes=stage1.classes_for(assignment))
         carried = _CarriedSample(
             index,
             space,

@@ -213,3 +213,32 @@ class TestQuotientStage1:
     @pytest.mark.parametrize("seed", [12, 13])
     def test_dbg(self, seed, local_rule_fn):
         matches_reference(make_dbg(seed=seed), local_rule_fn)
+
+    def test_keeps_its_classes(self):
+        """The typing keeps the map from every complex object to its
+        class's smallest object; each home type is a union of
+        classes."""
+        db = make_dbg(seed=1998)
+        result = minimal_perfect_typing(db)
+        representative = result.representative
+        assert set(representative) == set(db.complex_objects())
+        for obj, rep in representative.items():
+            assert rep <= obj
+            assert result.home_type[obj] == result.home_type[rep]
+        assert per_object_stage1(db).representative is None
+
+    def test_classes_for_a_class_constant_start(self):
+        db = (
+            DatabaseBuilder()
+            .attr("p1", "name", "A")
+            .attr("p2", "name", "B")
+            .attr("f", "ticker", "X")
+            .build()
+        )
+        result = minimal_perfect_typing(db)
+        start = result.assignment()
+        assert result.classes_for(start) == result.representative
+        known = dict(start, p2=start["p2"] | {"known"})
+        assert result.classes_for(known) is None
+        dropped = {obj: homes for obj, homes in start.items() if obj != "p1"}
+        assert result.classes_for(dropped) is None

@@ -1,13 +1,17 @@
 """Unit tests for the end-to-end SchemaExtractor pipeline."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.clustering import MergePolicy
-from repro.core.notation import format_program
+from repro.core.notation import format_program, parse_program
 from repro.core.pipeline import SchemaExtractor
+from repro.core.prior import PriorKnowledge
 from repro.core.recast import RecastMode
 from repro.exceptions import ClusteringError
 from repro.graph.builder import DatabaseBuilder
+from repro.perf import PerfRecorder
 from repro.synth.datasets import make_dbg
 
 
@@ -158,6 +162,43 @@ class TestSweepApi:
         )
         chosen = result.sensitivity.point_at(result.chosen_k)
         assert chosen.defect == result.defect.total
+
+
+class TestClasses:
+    """Stages 2–3 run on Stage 1's bisimulation classes; withholding
+    them (the identity partition) must change nothing but the work."""
+
+    @pytest.mark.parametrize("k", [None, 2, 7])
+    def test_withheld_classes_change_nothing(self, k):
+        db = make_dbg(seed=1998)
+        extractor = SchemaExtractor(db)
+        stage1 = extractor.stage1()
+        withheld = SchemaExtractor(
+            db, stage1=replace(stage1, representative=None)
+        )
+        fast, slow = extractor.extract(k=k), withheld.extract(k=k)
+        assert fast.chosen_k == slow.chosen_k
+        assert fast.program == slow.program
+        assert fast.stage2 == slow.stage2
+        assert fast.recast_result == slow.recast_result
+        assert fast.defect == slow.defect
+        if k is None:
+            assert fast.sensitivity.points == slow.sensitivity.points
+
+    def test_cover_checks_count_classes(self, three_group_db):
+        """On the class path Stage 3 tests each (class, rule) once; a
+        prior with a known member makes the start not class-constant,
+        and Stage 3 tests each (object, rule)."""
+        perf = PerfRecorder()
+        SchemaExtractor(three_group_db, perf=perf).extract(k=2)
+        assert perf.counter("recast.cover_checks") == 3 * 2
+        prior = PriorKnowledge(
+            program=parse_program("known = ->serial^0"),
+            assignment={"x0": {"known"}},
+        )
+        perf = PerfRecorder()
+        SchemaExtractor(three_group_db, prior=prior, perf=perf).extract(k=2)
+        assert perf.counter("recast.cover_checks") == 18 * 2
 
 
 class TestDualProblem:
